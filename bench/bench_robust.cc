@@ -7,7 +7,7 @@
 //   2. Fallback latency — when the exact stage is skipped or times out,
 //      the chain's overhead on top of the winning heuristic must be small.
 // `bench_robust --robust-report [--json <path>]` instead runs the fallback
-// chain once per representative instance (DWT with the exact stage live, a
+// chain once per representative instance (DWT settled by Algorithm 1, a
 // random DAG with exact disabled, a deadline-cancelled run) and emits the
 // per-stage provenance — winner, outcome, elapsed — as a wrbpg-obs-v1
 // document with the chain's spans and counters attached.
@@ -166,10 +166,11 @@ int RunRobustReport(const CliArgs& args) {
   obs::Json json_rows = obs::Json::Array();
 
   {
-    // Small DWT: the exact stage runs and wins.
+    // Small DWT: Algorithm 1 proves its answer optimal and settles the
+    // chain, so the exact stage is reported not-run.
     const DwtGraph dwt = BuildDwt(8, 2);
     const Weight budget = MinValidBudget(dwt.graph) + 2;
-    ReportChain("dwt(8,2)+exact",
+    ReportChain("dwt(8,2)-dp-settles",
                 RobustScheduler(dwt).Run(budget, {}), json_rows);
   }
   {

@@ -36,8 +36,9 @@
 //       error-severity diagnostic fires.
 //   wrbpg_cli profile <graph> [--budget <bits>]
 //       run a representative workload (budget sweep, structure-specific DP
-//       when the graph is a builtin, the robust fallback chain) and print
-//       the observability report: timing-span tree, counters, gauges.
+//       when the graph is a builtin, the bb exact search on graphs of at
+//       most 22 nodes, the robust fallback chain) and print the
+//       observability report: timing-span tree, counters, gauges.
 //       Defaults the budget to MinValidBudget + 2 so every stage has work.
 //   wrbpg_cli analyze <graph> [--budget <bits>] [--json]
 //       run the static graph analyzer (DESIGN.md §12): canonical hash and
@@ -229,9 +230,9 @@ int PrintHelp() {
       "      Render the schedule's fast-memory occupancy timeline.\n"
       "  profile <graph> [--budget N] [--deadline-ms N]\n"
       "      Run a representative workload (budget sweep, family DP when\n"
-      "      the graph is a builtin, the robust chain) and print the\n"
-      "      observability report. --budget defaults to the minimum valid\n"
-      "      budget plus 2.\n"
+      "      the graph is a builtin, the bb exact search on graphs of at\n"
+      "      most 22 nodes, the robust chain) and print the observability\n"
+      "      report. --budget defaults to the minimum valid budget plus 2.\n"
       "  serve [<requests.txt>] [--cache-mb N] [--shards N] [--no-iso]\n"
       "        [--deadline-ms N]\n"
       "      Scheduling-as-a-service loop. Requests are read from the\n"
@@ -352,9 +353,12 @@ ScheduleParseResult LoadScheduleArg(const std::string& path) {
 
 // The `profile` verb: exercise every instrumented layer once — a budget
 // sweep through the infeasible band (analysis counters), the
-// structure-specific DP when the graph is a builtin (memo counters), and
-// the robust fallback chain (exact search + simulator verification +
-// per-stage spans) — then print the observability report.
+// structure-specific DP when the graph is a builtin (memo counters), the
+// bb exact search when the graph is small enough to solve (search
+// counters), and the robust fallback chain (simulator verification +
+// per-stage spans) — then print the observability report. The exact
+// search is called directly because the chain cancels it as soon as a
+// DP stage proves its answer optimal.
 int RunProfile(const CliArgs& args, const LoadedGraph& loaded,
                Weight budget) {
   const Graph& graph = loaded.graph();
@@ -398,6 +402,25 @@ int RunProfile(const CliArgs& args, const LoadedGraph& loaded,
   const double deadline_ms = args.GetDouble("deadline-ms", 0);
   RobustOptions options;
   options.deadline_ms = deadline_ms;
+  if (graph.num_nodes() <= options.exact_max_nodes) {
+    BruteForceOptions bf;
+    bf.engine = SearchEngine::kBranchAndBound;
+    bf.max_states = options.exact_max_states;
+    CancelToken token;
+    if (deadline_ms > 0) {
+      token = CancelToken::WithDeadlineMs(deadline_ms);
+      bf.cancel = &token;
+    }
+    const ScheduleResult exact = BruteForceScheduler(graph).Run(budget, bf);
+    std::cerr << "exact (bb): "
+              << (exact.feasible
+                      ? "cost=" + std::to_string(exact.cost) +
+                            " bits termination=" +
+                            ToString(exact.termination)
+                      : std::string(exact.timed_out ? "timed out"
+                                                    : "infeasible"))
+              << "\n";
+  }
   const RobustResult robust =
       loaded.dwt() ? RobustScheduler(*loaded.dwt()).Run(budget, options)
                    : RobustScheduler(graph).Run(budget, options);

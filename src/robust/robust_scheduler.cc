@@ -1,6 +1,7 @@
 #include "robust/robust_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -34,11 +35,48 @@ double MsSince(Clock::time_point start) {
 // sequential and speculative modes execute the exact same chain.
 struct Stage {
   std::string name;
-  bool is_exact = false;  // an optimal answer here ends the chain
+  bool is_exact = false;  // a proven-optimal answer here settles the chain
   bool skipped = false;   // preconditions unmet; engine never started
   std::string skip_detail;
   std::function<ScheduleResult(const CancelToken*)> engine;
 };
+
+// One stage's run: the engine's answer, its wall time, and the verdict of
+// the single Simulate() call a produced schedule gets. A speculative
+// worker verifies its exact-class stage where it ran, so it can decide
+// Settles() on its own; the fold reuses that verdict and verifies only
+// the runs nobody has yet (heuristic stages, which never settle).
+struct StageRun {
+  ScheduleResult result;
+  SimResult sim;
+  bool verified = false;
+  double elapsed_ms = 0;
+};
+
+StageRun RunStage(const Stage& stage, const CancelToken* cancel) {
+  StageRun run;
+  const Clock::time_point start = Clock::now();
+  run.result = stage.engine(cancel);
+  run.elapsed_ms = MsSince(start);
+  return run;
+}
+
+void Verify(const Graph& graph, Weight budget, StageRun& run) {
+  if (run.verified) return;
+  run.verified = true;
+  if (!run.result.timed_out && run.result.feasible) {
+    run.sim = Simulate(graph, budget, run.result.schedule);
+  }
+}
+
+// The one settle predicate, shared by the fold and the speculative
+// workers' cancel trigger: an exact-class stage whose schedule Simulate()
+// accepted and whose engine proved it optimal ends the chain. Every later
+// stage is then reported kNotRun, whatever it computed.
+bool Settles(const Stage& stage, const StageRun& run) {
+  return stage.is_exact && !run.result.timed_out && run.result.feasible &&
+         run.sim.valid && run.result.termination == Termination::kOptimal;
+}
 
 }  // namespace
 
@@ -151,6 +189,19 @@ RobustResult RobustScheduler::Run(Weight budget,
     stages.push_back(std::move(recog));
   }
 
+  if (dwt_ != nullptr) {
+    // Algorithm 1 is polynomial and proven optimal, so it runs ahead of
+    // the exponential search: its answer settles the chain before the
+    // exact stage would have to spend its deadline.
+    Stage dwt;
+    dwt.name = "dwt-optimal";
+    dwt.is_exact = true;
+    dwt.engine = [this, budget](const CancelToken* cancel) {
+      return DwtOptimalScheduler(*dwt_).Run(budget, cancel);
+    };
+    stages.push_back(std::move(dwt));
+  }
+
   {
     Stage exact;
     exact.name = "exact";
@@ -183,16 +234,6 @@ RobustResult RobustScheduler::Run(Weight budget,
     stages.push_back(std::move(exact));
   }
 
-  if (dwt_ != nullptr) {
-    Stage dwt;
-    dwt.name = "dwt-optimal";
-    dwt.is_exact = true;
-    dwt.engine = [this, budget](const CancelToken* cancel) {
-      return DwtOptimalScheduler(*dwt_).Run(budget, cancel);
-    };
-    stages.push_back(std::move(dwt));
-  }
-
   {
     Stage belady;
     belady.name = "belady";
@@ -213,7 +254,9 @@ RobustResult RobustScheduler::Run(Weight budget,
   RobustResult out;
   ScheduleResult best;
   std::size_t best_stage = 0;
-  bool exact_won = false;  // a PROVEN-optimal answer; stops the chain
+  // Index of the stage whose proven optimum ended the chain (Settles());
+  // stages.size() while the chain is still open.
+  std::size_t settled_by = stages.size();
   // Tightest lower bound any completed stage certified (the bb engine
   // reports one even when interrupted); folded into the final result so
   // the chain's optimality_gap is sound no matter which stage won.
@@ -221,11 +264,14 @@ RobustResult RobustScheduler::Run(Weight budget,
 
   // The fold: interprets one stage's run in chain order. Both execution
   // modes funnel through these, so the decision procedure (winner, cost,
-  // per-stage outcome) cannot drift between them.
+  // per-stage outcome) cannot drift between them. A stage whose
+  // preconditions are unmet reports kSkipped even after a settle: the
+  // skip reason holds whatever settled the chain.
   auto push_not_run = [&](const Stage& stage) {
     StageReport report;
     report.name = stage.name;
-    report.detail = "earlier stage answered optimally";
+    report.detail = "stage " + stages[settled_by].name +
+                    " settled the chain with a proven optimum";
     out.stages.push_back(std::move(report));
   };
   auto push_skipped = [&](const Stage& stage, std::string detail) {
@@ -235,59 +281,63 @@ RobustResult RobustScheduler::Run(Weight budget,
     report.detail = std::move(detail);
     out.stages.push_back(std::move(report));
   };
-  auto fold_result = [&](const Stage& stage, ScheduleResult result,
-                         double elapsed_ms) {
+  auto fold_result = [&](std::size_t index, StageRun run) {
+    const Stage& stage = stages[index];
     // Stage timing is measured where the stage ran (possibly on a pool
     // worker in speculative mode) but filed here on the chain's thread,
     // so it lands as a child of the robust.run span either way.
-    obs::RecordSpan(std::string("robust.stage.") + stage.name, elapsed_ms);
+    obs::RecordSpan(std::string("robust.stage.") + stage.name,
+                    run.elapsed_ms);
+    Verify(graph_, budget, run);
+    if (Settles(stage, run)) settled_by = index;
+    ScheduleResult& result = run.result;
     StageReport report;
     report.name = stage.name;
-    report.elapsed_ms = elapsed_ms;
+    report.elapsed_ms = run.elapsed_ms;
     if (result.timed_out) {
       // The engine was interrupted holding nothing — no incumbent, no
       // schedule. Its frontier lower bound is still certified, though.
       report.outcome = StageOutcome::kTimedOut;
-      report.detail = "cancelled after " + std::to_string(elapsed_ms) + " ms";
+      report.detail =
+          "cancelled after " + std::to_string(run.elapsed_ms) + " ms";
       chain_lb = std::max(chain_lb, result.lower_bound);
     } else if (!result.feasible) {
       report.outcome = StageOutcome::kInfeasible;
+    } else if (!run.sim.valid) {
+      report.outcome = StageOutcome::kInvalid;
+      report.detail = "schedule rejected at move " +
+                      std::to_string(run.sim.error_index) + ": " +
+                      run.sim.error;
     } else {
-      const SimResult sim = Simulate(graph_, budget, result.schedule);
-      if (!sim.valid) {
-        report.outcome = StageOutcome::kInvalid;
-        report.detail = "schedule rejected at move " +
-                        std::to_string(sim.error_index) + ": " + sim.error;
+      report.cost = run.sim.cost;
+      result.cost = run.sim.cost;
+      chain_lb = std::max(chain_lb, result.lower_bound);
+      // An exact-stage result that was interrupted mid-proof is an
+      // anytime incumbent: a valid schedule plus a certified gap, but
+      // not a proven optimum — the chain keeps running and its outcome
+      // label records the weaker claim.
+      const bool is_anytime =
+          stage.is_exact && result.termination != Termination::kOptimal;
+      if (is_anytime) {
+        report.detail = "anytime incumbent: lb=" +
+                        std::to_string(result.lower_bound) + " gap=" +
+                        std::to_string(result.optimality_gap) +
+                        " termination=" + ToString(result.termination);
+      }
+      // A proven optimum that only ties an earlier candidate still
+      // settles the chain; the earlier schedule keeps the win.
+      if (!best.feasible || run.sim.cost < best.cost) {
+        if (best.feasible &&
+            out.stages[best_stage].outcome == StageOutcome::kWinner) {
+          out.stages[best_stage].outcome = StageOutcome::kCandidate;
+        }
+        best = std::move(result);
+        best_stage = out.stages.size();
+        report.outcome = is_anytime ? StageOutcome::kAnytimeIncumbent
+                                    : StageOutcome::kWinner;
       } else {
-        report.cost = sim.cost;
-        result.cost = sim.cost;
-        chain_lb = std::max(chain_lb, result.lower_bound);
-        // An exact-stage result that was interrupted mid-proof is an
-        // anytime incumbent: a valid schedule plus a certified gap, but
-        // not a proven optimum — the chain keeps running and its outcome
-        // label records the weaker claim.
-        const bool proven = result.termination == Termination::kOptimal;
-        const bool is_anytime = stage.is_exact && !proven;
-        if (is_anytime) {
-          report.detail = "anytime incumbent: lb=" +
-                          std::to_string(result.lower_bound) + " gap=" +
-                          std::to_string(result.optimality_gap) +
-                          " termination=" + ToString(result.termination);
-        }
-        if (!best.feasible || sim.cost < best.cost) {
-          if (best.feasible &&
-              out.stages[best_stage].outcome == StageOutcome::kWinner) {
-            out.stages[best_stage].outcome = StageOutcome::kCandidate;
-          }
-          best = std::move(result);
-          best_stage = out.stages.size();
-          report.outcome = is_anytime ? StageOutcome::kAnytimeIncumbent
-                                      : StageOutcome::kWinner;
-          if (stage.is_exact && proven) exact_won = true;
-        } else {
-          report.outcome = is_anytime ? StageOutcome::kAnytimeIncumbent
-                                      : StageOutcome::kCandidate;
-        }
+        report.outcome = is_anytime ? StageOutcome::kAnytimeIncumbent
+                                    : StageOutcome::kCandidate;
       }
     }
     out.stages.push_back(std::move(report));
@@ -297,51 +347,84 @@ RobustResult RobustScheduler::Run(Weight budget,
     // Speculative mode: every runnable stage starts now, so the deadline
     // clock covers the exact search and its fallbacks simultaneously and
     // the exact stages can use the whole deadline instead of a slice.
-    // Results are folded in chain order after the pool drains; a stage an
-    // exact win obsoletes is reported kNotRun and its result discarded,
-    // matching the sequential chain's provenance.
-    struct StageRun {
-      ScheduleResult result;
-      double elapsed_ms = 0;
+    // Every exact-class stage holds a CancelToken (deadline-free when no
+    // deadline is set). A worker whose stage Settles() cancels every
+    // LATER stage — those are kNotRun in the fold no matter what they
+    // would have returned — so the chain stops at its first proven
+    // optimum instead of waiting out the exact search. Earlier stages are
+    // never cancelled, so the fold in chain order reaches the same
+    // decision as the sequential chain; with no deadline the outcome is
+    // identical to a sequential run.
+    struct SpeculativeRun {
+      StageRun run;
       CancelToken token;
-      bool has_token = false;
+      std::atomic<bool> started{false};
+      std::atomic<bool> done{false};
+      std::atomic<bool> cancelled{false};  // by an earlier stage's settle
     };
-    std::vector<StageRun> runs(stages.size());
+    static const obs::Counter stages_cancelled("robust.stages_cancelled");
+    std::vector<SpeculativeRun> runs(stages.size());
     ThreadPool pool(std::min(threads, stages.size()));
     TaskGroup group(pool);
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      Stage& stage = stages[i];
-      if (stage.skipped) continue;
-      StageRun& run = runs[i];
-      if (deadlined && stage.is_exact) {
-        run.token = CancelToken::WithDeadlineMs(remaining_ms());
-        run.has_token = true;
+    // Every token is in place before the first task starts: a settling
+    // worker cancels later stages' tokens, possibly before they are
+    // submitted.
+    if (deadlined) {
+      for (std::size_t i = 0; i < stages.size(); ++i) {
+        if (stages[i].is_exact) {
+          runs[i].token = CancelToken::WithDeadlineMs(remaining_ms());
+        }
       }
-      group.Submit([&stage, &run] {
-        const Clock::time_point stage_start = Clock::now();
-        run.result = stage.engine(run.has_token ? &run.token : nullptr);
-        run.elapsed_ms = MsSince(stage_start);
+    }
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      if (stages[i].skipped) continue;
+      group.Submit([&, i] {
+        const Stage& stage = stages[i];
+        SpeculativeRun& self = runs[i];
+        self.started.store(true);
+        // A queued stage an earlier settle already obsoleted never runs.
+        if (self.cancelled.load()) return;
+        self.run = RunStage(stage, stage.is_exact ? &self.token : nullptr);
+        self.done.store(true);
+        // Only an exact-class stage can settle, and one a settle already
+        // cancelled is discarded by the fold: neither needs the sim here.
+        if (!stage.is_exact || self.cancelled.load()) return;
+        Verify(graph_, budget, self.run);
+        if (!Settles(stage, self.run)) return;
+        for (std::size_t j = i + 1; j < stages.size(); ++j) {
+          SpeculativeRun& later = runs[j];
+          if (stages[j].skipped || later.cancelled.exchange(true)) continue;
+          later.token.Cancel();
+          // Counted when the settle actually cuts work short: the stage
+          // never starts, or it is an exact-class stage polling its token.
+          // (Heuristic stages already running finish regardless.)
+          if (!later.started.load() ||
+              (stages[j].is_exact && !later.done.load())) {
+            stages_cancelled.Add(1);
+          }
+        }
       });
     }
     group.Wait();
     for (std::size_t i = 0; i < stages.size(); ++i) {
       const Stage& stage = stages[i];
-      if (exact_won) {
-        push_not_run(stage);
-      } else if (stage.skipped) {
+      if (stage.skipped) {
         push_skipped(stage, stage.skip_detail);
+      } else if (settled_by < stages.size()) {
+        push_not_run(stage);
       } else {
-        fold_result(stage, std::move(runs[i].result), runs[i].elapsed_ms);
+        fold_result(i, std::move(runs[i].run));
       }
     }
   } else {
-    for (const Stage& stage : stages) {
-      if (exact_won) {
-        push_not_run(stage);
-        continue;
-      }
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      const Stage& stage = stages[i];
       if (stage.skipped) {
         push_skipped(stage, stage.skip_detail);
+        continue;
+      }
+      if (settled_by < stages.size()) {
+        push_not_run(stage);
         continue;
       }
       const CancelToken* cancel = nullptr;
@@ -355,9 +438,7 @@ RobustResult RobustScheduler::Run(Weight budget,
         token = CancelToken::WithDeadlineMs(slice);
         cancel = &token;
       }
-      const Clock::time_point stage_start = Clock::now();
-      ScheduleResult result = stage.engine(cancel);
-      fold_result(stage, std::move(result), MsSince(stage_start));
+      fold_result(i, RunStage(stage, cancel));
     }
   }
 

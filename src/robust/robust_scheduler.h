@@ -8,26 +8,32 @@
 //
 //   recognition (ganalysis family recognition routes serialized chain /
 //                k-ary / DWT instances straight to the polynomial DPs)
-//   -> exact (anytime branch-and-bound, any graph size under a deadline)
 //   -> dwt-optimal (Algorithm 1, when the caller supplied a DwtGraph)
+//   -> exact (anytime branch-and-bound, any graph size under a deadline)
 //   -> belady (furthest-next-use heuristic, any CDAG)
 //   -> greedy-topo (Prop 2.3 constructive fallback, always feasible)
 //
-// under a shared deadline: the exact stage gets a configurable slice of
-// the remaining time via a cooperative CancelToken, the polynomial stages
-// run to completion (they are micro- to milliseconds). The exact stage is
-// the bb engine (DESIGN.md §11): interrupted by its deadline slice it
-// returns its incumbent with a certified optimality gap instead of timing
-// out, so even huge graphs get an exact-stage answer — provenance
-// kAnytimeIncumbent — and it is only skipped outright when the graph is
-// past exact_max_nodes AND no deadline bounds the search. Every produced
-// schedule is re-verified through Simulate before it can win. The result
-// carries full provenance — which stage answered, and for every other
-// stage whether it timed out, was infeasible, produced a worse schedule,
-// or was skipped and why — and the chain's ScheduleResult reports the
-// tightest lower bound any stage certified (never below the best
-// ganalysis bound certificate, which subsumes the Prop 2.4 algorithmic
-// bound), so callers always see a sound optimality_gap.
+// under a shared deadline: the exact-class stages (the first three) get
+// a configurable slice of the remaining time via a cooperative
+// CancelToken, the heuristic stages run to completion (they are micro- to
+// milliseconds). The cheap sound sources come first, and the first
+// exact-class stage whose schedule passes Simulate and is proven optimal
+// settles the chain: every later stage is reported kNotRun, naming the
+// stage that settled it. In speculative mode (threads > 1) the settling
+// worker also cancels the later stages still in flight, so a DP answer
+// stops the exact search instead of waiting out its deadline. The exact
+// stage is the bb engine (DESIGN.md §11): interrupted by its deadline
+// slice it returns its incumbent with a certified optimality gap instead
+// of timing out, so even huge graphs get an exact-stage answer —
+// provenance kAnytimeIncumbent — and it is only skipped outright when the
+// graph is past exact_max_nodes AND no deadline bounds the search. Every
+// produced schedule is re-verified through Simulate before it can win.
+// The result carries full provenance — which stage answered, and for
+// every other stage whether it timed out, was infeasible, produced a
+// worse schedule, or was skipped and why — and the chain's ScheduleResult
+// reports the tightest lower bound any stage certified (never below the
+// best ganalysis bound certificate, which subsumes the Prop 2.4
+// algorithmic bound), so callers always see a sound optimality_gap.
 #pragma once
 
 #include <string>
@@ -41,7 +47,7 @@
 namespace wrbpg {
 
 enum class StageOutcome : std::uint8_t {
-  kNotRun = 0,   // an earlier stage already settled the question
+  kNotRun = 0,   // an earlier stage settled the chain (detail names it)
   kSkipped,      // preconditions unmet (see detail), never started
   kTimedOut,     // started, cancelled by its deadline slice
   kInfeasible,   // completed: no schedule under this budget
@@ -69,9 +75,10 @@ struct RobustOptions {
   // polynomial fallbacks always run, so a result is produced even if the
   // deadline expired during earlier stages.
   double deadline_ms = 0;
-  // Fraction of the remaining deadline granted to the exact stage (it is
-  // the stage that can actually hang). With no deadline the exact stage
-  // is bounded only by exact_max_states.
+  // Fraction of the remaining deadline granted to each exact-class stage
+  // in sequential mode (the exact stage is the one that can actually
+  // hang). With no deadline the exact stage is bounded only by
+  // exact_max_states.
   double exact_fraction = 0.5;
   // With no deadline, the exact stage is skipped outright beyond this
   // many nodes (the search state space is exponential in n, and nothing
@@ -88,13 +95,13 @@ struct RobustOptions {
   // Because the fallbacks are then computed "for free", the exact stages
   // get the full deadline rather than an exact_fraction slice. The chain's
   // decision procedure is unchanged: stages are folded in chain order
-  // after the pool drains, an exact win still reports later stages as
-  // not-run (their speculative results are discarded), and with no
-  // deadline the result is identical to a sequential run. Under a
+  // after the pool drains, and a settling stage reports every later stage
+  // as not-run. A stage that settles on a pool worker cancels the later
+  // stages still in flight (their results would be discarded anyway), so
+  // with no deadline the result is identical to a sequential run. Under a
   // deadline, which stages finish in time is wall-clock-dependent in
-  // either mode; the CancelToken semantics per stage are unchanged. The
-  // inner brute-force search inherits this thread count. 0 selects
-  // DefaultSearchThreads().
+  // either mode. The inner brute-force search inherits this thread count.
+  // 0 selects DefaultSearchThreads().
   std::size_t threads = 0;
   // Testing hook mirrored from BruteForceOptions::force_wide_state: route
   // the exact stage's <= 32-node searches through the wide interned-state
@@ -121,7 +128,7 @@ class RobustScheduler {
  public:
   explicit RobustScheduler(const Graph& graph) : graph_(graph) {}
   // DWT-aware chain: additionally tries Algorithm 1 (optimal for DWT
-  // graphs in polynomial time) between the exact and heuristic stages.
+  // graphs in polynomial time) ahead of the exact stage.
   explicit RobustScheduler(const DwtGraph& dwt)
       : graph_(dwt.graph), dwt_(&dwt) {}
 

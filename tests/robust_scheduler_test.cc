@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
 #include "core/analysis.h"
 #include "core/simulator.h"
 #include "dataflows/dwt_graph.h"
 #include "dataflows/random_dag.h"
-#include "robust/robust_scheduler.h"
 #include "dataflows/tree_graph.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
+#include "robust/robust_scheduler.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/kary_tree.h"
@@ -260,6 +263,100 @@ TEST(RobustScheduler, RecognitionDefersWhenCallerNamesTheFamily) {
   ASSERT_TRUE(r.result.feasible);
   EXPECT_EQ(r.stage("recognition")->outcome, StageOutcome::kSkipped);
   EXPECT_EQ(r.winner, "dwt-optimal");
+}
+
+// A chain instance and the stage expected to settle it.
+struct SettleCase {
+  const char* settler;
+  RobustScheduler scheduler;
+  const Graph& graph;
+};
+
+// With no deadline, speculation changes nothing but wall time: a chain on
+// a 4-thread pool, where the first proven optimum cancels the later
+// stages still in flight, reports the same winner, schedule and per-stage
+// outcomes as the sequential chain. One case per settling stage:
+// dwt-optimal (typed DwtGraph), recognition (bare k-ary tree) and exact
+// (small unrecognized DAG).
+TEST(RobustScheduler, SpeculativeMatchesSequentialWithoutDeadline) {
+  const DwtGraph dwt = BuildDwt(8, 2);
+  const Graph tree = BuildPerfectTree(2, 3).graph;
+  Rng rng(0x5eedu);
+  const Graph dag = BuildRandomDag(rng, {.num_layers = 3,
+                                         .nodes_per_layer = 4,
+                                         .max_in_degree = 2});
+  const SettleCase cases[] = {
+      {"dwt-optimal", RobustScheduler(dwt), dwt.graph},
+      {"recognition", RobustScheduler(tree), tree},
+      {"exact", RobustScheduler(dag), dag}};
+  for (const SettleCase& c : cases) {
+    SCOPED_TRACE(c.settler);
+    const Weight budget = MinValidBudget(c.graph) + 2;
+    RobustOptions sequential;
+    sequential.threads = 1;
+    RobustOptions speculative;
+    speculative.threads = 4;
+    const RobustResult seq = c.scheduler.Run(budget, sequential);
+    const RobustResult spec = c.scheduler.Run(budget, speculative);
+    ASSERT_TRUE(seq.result.feasible);
+    ASSERT_TRUE(spec.result.feasible);
+    EXPECT_EQ(seq.winner, c.settler);
+    EXPECT_EQ(spec.winner, seq.winner);
+    EXPECT_EQ(spec.result.cost, seq.result.cost);
+    EXPECT_EQ(spec.result.schedule, seq.result.schedule);
+    EXPECT_EQ(spec.result.termination, Termination::kOptimal);
+    testing::ExpectValid(c.graph, budget, spec.result.schedule);
+    ASSERT_EQ(spec.stages.size(), seq.stages.size());
+    for (std::size_t i = 0; i < seq.stages.size(); ++i) {
+      SCOPED_TRACE(seq.stages[i].name);
+      EXPECT_EQ(spec.stages[i].name, seq.stages[i].name);
+      EXPECT_EQ(spec.stages[i].outcome, seq.stages[i].outcome);
+      EXPECT_EQ(spec.stages[i].cost, seq.stages[i].cost);
+      if (seq.stages[i].outcome == StageOutcome::kNotRun) {
+        EXPECT_EQ(spec.stages[i].detail, seq.stages[i].detail);
+        EXPECT_NE(seq.stages[i].detail.find(c.settler), std::string::npos)
+            << seq.stages[i].detail;
+      }
+    }
+  }
+}
+
+// The point of running the cheap sound sources first: once a polynomial
+// DP proves its answer optimal, the speculative chain cancels the exact
+// search instead of waiting out a 10 s deadline, and reports it kNotRun.
+TEST(RobustScheduler, ProvenDpCancelsExactUnderDeadline) {
+  const Graph tree = BuildPerfectTree(2, 5).graph;
+  const DwtGraph dwt = BuildDwt(16, 2);
+  const SettleCase cases[] = {
+      {"recognition", RobustScheduler(tree), tree},
+      {"dwt-optimal", RobustScheduler(dwt), dwt.graph}};
+  for (const SettleCase& c : cases) {
+    SCOPED_TRACE(c.settler);
+    const Weight budget = MinValidBudget(c.graph) + 2;
+    RobustOptions options;
+    options.deadline_ms = 10'000;
+    options.threads = 4;
+    obs::ResetAll();
+    const auto start = std::chrono::steady_clock::now();
+    const RobustResult r = c.scheduler.Run(budget, options);
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_TRUE(r.result.feasible);
+    EXPECT_EQ(r.winner, c.settler);
+    EXPECT_EQ(r.result.termination, Termination::kOptimal);
+    testing::ExpectValid(c.graph, budget, r.result.schedule);
+    const StageReport* exact = r.stage("exact");
+    ASSERT_NE(exact, nullptr);
+    EXPECT_EQ(exact->outcome, StageOutcome::kNotRun);
+    EXPECT_NE(exact->detail.find(c.settler), std::string::npos)
+        << exact->detail;
+    EXPECT_GE(obs::ReadMetric("robust.stages_cancelled"), 1u);
+    // Generous against loaded CI machines; without the cancel the exact
+    // search would hold the chain for the whole 10 s.
+    EXPECT_LT(elapsed_ms, 2000.0);
+  }
 }
 
 TEST(RobustScheduler, HeuristicsBeatNothingButStillReportCandidates) {
