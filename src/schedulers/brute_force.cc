@@ -6,7 +6,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <thread>
@@ -42,15 +41,14 @@ constexpr State MakeState(std::uint32_t red, std::uint32_t blue) {
 using Key = WaveKey;
 
 // How one search pass runs. The engines are compositions of these flags:
-// Dijkstra = {false, true, false}, A* = {true, true, false}, and the
-// dominance/bb engines' cost pass = {true, false, true} (a
-// schedule-wanting run follows up with an A* pass primed at the found
-// optimum). The bb engine additionally primes the cost pass's bound with
-// its incumbent cost, turning the bound check into incumbent pruning.
+// Dijkstra = {false, true}, A* = {true, true}, and the bb engine's cost
+// pass = {true, false} (free-move coalescing; a schedule-wanting run
+// follows up with an A* pass primed at the found optimum). bb also
+// primes the cost pass's bound with its incumbent cost, turning the
+// bound check into incumbent pruning.
 struct PhaseConfig {
   bool use_heuristic = false;
   bool use_len = true;
-  bool use_dominance = false;
   Weight prime_bound = kInfiniteCost;  // known upper bound on the optimum
 };
 
@@ -261,31 +259,6 @@ class PackedOps {
       const NodeId v = static_cast<NodeId>(std::countr_zero(m));
       fn(MakeState(red | (1u << v), blue), 0);
     }
-  }
-
-  // Dominance vocabulary (see Searcher::PruneDominated).
-  bool SameRed(State a, State b) const { return RedOf(a) == RedOf(b); }
-  bool BlueSubsetOf(State a, State b) const {
-    return (BlueOf(a) & ~BlueOf(b)) == 0;
-  }
-  bool DominanceLess(State a, State b) const {
-    if (RedOf(a) != RedOf(b)) return RedOf(a) < RedOf(b);
-    const int pa = std::popcount(BlueOf(a));
-    const int pb = std::popcount(BlueOf(b));
-    if (pa != pb) return pa > pb;
-    return BlueOf(a) < BlueOf(b);
-  }
-  // Packed states sort by a precomputed 128-bit key instead of the
-  // comparator above: (red, 63 - popcount(blue)) in the high word and
-  // the state itself (blue-major within equal red) in the low word make
-  // lexicographic pair order coincide with DominanceLess — one popcount
-  // per STATE instead of one per comparison.
-  static constexpr bool kHasDominanceKey = true;
-  std::pair<std::uint64_t, std::uint64_t> DominanceKey(State s) const {
-    const std::uint64_t hi =
-        (static_cast<std::uint64_t>(RedOf(s)) << 6) |
-        static_cast<std::uint64_t>(63 - std::popcount(BlueOf(s)));
-    return {hi, s};
   }
 
   // States live inline in the dist map and the per-worker bound-cache
@@ -548,38 +521,6 @@ class WideOps {
     }
   }
 
-  bool SameRed(State a, State b) const {
-    return std::memcmp(interner_.Words(a), interner_.Words(b),
-                       words_ * sizeof(std::uint64_t)) == 0;
-  }
-  bool BlueSubsetOf(State a, State b) const {
-    const std::uint64_t* ba = interner_.Words(a) + words_;
-    const std::uint64_t* bb = interner_.Words(b) + words_;
-    for (std::size_t w = 0; w < words_; ++w) {
-      if ((ba[w] & ~bb[w]) != 0) return false;
-    }
-    return true;
-  }
-  // Interned word arrays have no compact sort key; the comparator path
-  // it is.
-  static constexpr bool kHasDominanceKey = false;
-  std::pair<std::uint64_t, std::uint64_t> DominanceKey(State) const {
-    return {0, 0};  // never called (kHasDominanceKey == false)
-  }
-  // Same order as PackedOps::DominanceLess: red ascending (numeric,
-  // most-significant word first — for W == 1 this IS the packed compare),
-  // blue popcount descending, blue ascending.
-  bool DominanceLess(State a, State b) const {
-    const std::uint64_t* wa = interner_.Words(a);
-    const std::uint64_t* wb = interner_.Words(b);
-    const int red_cmp = CmpWords(wa, wb);
-    if (red_cmp != 0) return red_cmp < 0;
-    const int pa = PopcountWords(wa + words_);
-    const int pb = PopcountWords(wb + words_);
-    if (pa != pb) return pa > pb;
-    return CmpWords(wa + words_, wb + words_) < 0;
-  }
-
   std::size_t MemoryBytes() const {
     return interner_.MemoryBytes() + bound_cache_.MemoryBytes();
   }
@@ -596,17 +537,6 @@ class WideOps {
   }
   static void ClearBit(std::uint64_t* w, NodeId v) {
     w[v >> 6] &= ~(1ull << (v & 63));
-  }
-  int CmpWords(const std::uint64_t* a, const std::uint64_t* b) const {
-    for (std::size_t w = words_; w-- > 0;) {
-      if (a[w] != b[w]) return a[w] < b[w] ? -1 : 1;
-    }
-    return 0;
-  }
-  int PopcountWords(const std::uint64_t* w) const {
-    int total = 0;
-    for (std::size_t i = 0; i < words_; ++i) total += std::popcount(w[i]);
-    return total;
   }
   static NodeId NodeAt(std::size_t word, std::uint64_t m) {
     return static_cast<NodeId>(
@@ -692,9 +622,8 @@ std::optional<Incumbent> SeedIncumbent(const Graph& graph, Weight budget,
 // state sits either in the pending map or in the current (partially
 // expanded) wave, and along an optimal path its f = g + h is at most the
 // optimal cost (h admissible; incumbent pruning only drops f strictly
-// above a valid schedule's cost, dominance only drops states whose
-// completions a kept sibling matches). min(current wave f, pending min f)
-// is therefore a sound lower bound on the optimum at the moment of abort.
+// above a valid schedule's cost). min(current wave f, pending min f) is
+// therefore a sound lower bound on the optimum at the moment of abort.
 template <typename Ops>
 class Searcher {
  public:
@@ -764,7 +693,6 @@ class Searcher {
                    std::size_t hi, Key level, const PhaseConfig& cfg,
                    UpdateBuffer& out, SearchStats& stats, Scratch& scratch,
                    RelaxMemo& memo);
-  void PruneDominated(std::vector<State>& live);
   Schedule Reconstruct();
 
   // Folds one chunk's wave updates into the pending map. Successive
@@ -860,7 +788,6 @@ class Searcher {
   std::vector<UpdateBuffer> chunk_updates_;
   std::vector<Scratch> chunk_scratch_;
   std::vector<RelaxMemo> chunk_memo_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> dominance_keys_;
 
   // Shared best-known goal cost: relaxations that discover a goal lower it
   // (atomically, across all workers), and every relaxation prunes targets
@@ -997,49 +924,6 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
           .count());
 }
 
-// Drops wave states that a same-wave sibling renders redundant: equal red
-// mask (with positive weights, "superset red at no greater red weight"
-// collapses to equality) and strictly-superset blue mask. Any completion
-// from the dominated state either never stores into the extra blue nodes —
-// then it is verbatim legal from the dominator at identical cost — or it
-// does, and the dominator skips those stores for a strictly cheaper
-// finish. Either way the optimal cost survives the drop. The lex-least
-// tie-break does NOT necessarily survive, which is why this filter only
-// runs in the cost pass (PhaseConfig::use_dominance) and never in a pass
-// that reconstructs a schedule.
-template <typename Ops>
-void Searcher<Ops>::PruneDominated(std::vector<State>& live) {
-  if (live.size() < 2) return;
-  // Sort so that, within a red group, supersets precede subsets: blue
-  // popcount descending, then blue ascending for determinism.
-  if constexpr (Ops::kHasDominanceKey) {
-    auto& keys = dominance_keys_;
-    keys.clear();
-    keys.reserve(live.size());
-    for (const State s : live) keys.push_back(ops_.DominanceKey(s));
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < live.size(); ++i) live[i] = keys[i].second;
-  } else {
-    std::sort(live.begin(), live.end(), [this](State a, State b) {
-      return ops_.DominanceLess(a, b);
-    });
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const State s = live[i];
-    bool dominated = false;
-    for (std::size_t j = kept; j > 0 && ops_.SameRed(live[j - 1], s); --j) {
-      if (ops_.BlueSubsetOf(s, live[j - 1])) {
-        dominated = true;  // kept sibling holds every blue pebble we do
-        break;
-      }
-    }
-    if (!dominated) live[kept++] = s;
-  }
-  stats_.pruned_dominated += live.size() - kept;
-  live.resize(kept);
-}
-
 template <typename Ops>
 PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
                                     std::size_t threads) {
@@ -1098,7 +982,6 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
       break;
     }
 
-    if (cfg.use_dominance) PruneDominated(live);
     settled_ += live.size();
     stats_.expanded += live.size();
     stats_.max_frontier = std::max<std::uint64_t>(stats_.max_frontier,
@@ -1178,8 +1061,8 @@ template <typename Ops>
 ScheduleResult Searcher<Ops>::Run(bool want_schedule,
                                   const Incumbent* incumbent) {
   // Span label carries the engine, so profiles separate dijkstra waves
-  // from informed ones. Recorded per Run (both passes of a two-phase
-  // dominance run fall under one span).
+  // from informed ones. Recorded per Run (both passes of a bb run fall
+  // under one span).
   const obs::ScopedSpan span(std::string("search.") +
                              ToString(options_.engine));
   struct StatsFlush {
@@ -1197,7 +1080,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       static const obs::Counter improved("search.improved");
       static const obs::Counter pruned_bound("search.pruned_bound");
       static const obs::Counter pruned_heuristic("search.pruned_heuristic");
-      static const obs::Counter pruned_dominated("search.pruned_dominated");
       static const obs::Gauge max_frontier("search.max_frontier");
       static const obs::Gauge frontier_bytes("search.frontier_bytes");
       // Hot-path instrumentation (§14). Hit/miss splits are reporting-only
@@ -1215,7 +1097,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       improved.Add(self->stats_.improved);
       pruned_bound.Add(self->stats_.pruned_bound);
       pruned_heuristic.Add(self->stats_.pruned_heuristic);
-      pruned_dominated.Add(self->stats_.pruned_dominated);
       max_frontier.Max(self->stats_.max_frontier);
       frontier_bytes.Max(self->stats_.frontier_bytes);
       bound_cache_hit.Add(self->stats_.bound_cache_hits);
@@ -1272,12 +1153,9 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
 
   PhaseConfig cfg;
   cfg.use_heuristic = informed;
-  const bool two_phase = options_.engine == SearchEngine::kAStarDominance ||
-                         options_.engine == SearchEngine::kBranchAndBound;
-  if (two_phase) {
-    cfg.use_len = false;
-    cfg.use_dominance = true;
-  }
+  // bb's cost pass coalesces free-move closures (no length tier).
+  const bool two_phase = options_.engine == SearchEngine::kBranchAndBound;
+  if (two_phase) cfg.use_len = false;
   if (anytime) cfg.prime_bound = incumbent->cost;
 
   PhaseStatus status = RunPhase(cfg, pool_ptr, threads);
@@ -1310,8 +1188,8 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   if (!want_schedule) return result;
 
   if (two_phase) {
-    // The cost pass ran without the length tier and with dominance drops,
-    // so its distance map cannot drive the canonical reconstruction.
+    // The cost pass ran without the length tier, so its distance map
+    // cannot drive the canonical reconstruction.
     // Re-run A* with the optimum as the pruning bound from move zero: it
     // settles exactly the f <= C* states whose optimal-path entries the
     // plain A* map would hold, so the reconstruction below is bit-for-bit
@@ -1420,7 +1298,6 @@ const char* ToString(SearchEngine engine) {
   switch (engine) {
     case SearchEngine::kDijkstra: return "dijkstra";
     case SearchEngine::kAStar: return "astar";
-    case SearchEngine::kAStarDominance: return "astar+dominance";
     case SearchEngine::kBranchAndBound: return "bb";
   }
   return "unknown";

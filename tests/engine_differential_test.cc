@@ -1,8 +1,8 @@
 // Differential tests for the DESIGN.md §9 engine-independence contract:
-// dijkstra, astar, astar+dominance, and bb return BIT-IDENTICAL results —
-// same feasibility, same cost, same canonical move sequence — at every
-// thread count AND through either state representation (the packed
-// 64-bit fast path or the wide interned one, force_wide_state). The
+// dijkstra, astar, and bb return BIT-IDENTICAL results — same
+// feasibility, same cost, same canonical move sequence — at every thread
+// count AND through either state representation (the packed 64-bit fast
+// path or the wide interned one, force_wide_state). The
 // informed engines prune and reorder the search, but they reconstruct
 // from a distance map whose optimal-path entries provably coincide with
 // the uninformed one.
@@ -38,7 +38,6 @@ using testing::MakeDiamond;
 
 constexpr SearchEngine kAllEngines[] = {SearchEngine::kDijkstra,
                                         SearchEngine::kAStar,
-                                        SearchEngine::kAStarDominance,
                                         SearchEngine::kBranchAndBound};
 
 void ExpectIdentical(const ScheduleResult& ref, const ScheduleResult& got,
@@ -255,8 +254,7 @@ TEST(EngineDifferential, FaultInjectorDerivedCases) {
       options.threads = 1;
       const ScheduleResult ref = scheduler.Run(fault.budget, options);
       for (const SearchEngine engine :
-           {SearchEngine::kAStar, SearchEngine::kAStarDominance,
-            SearchEngine::kBranchAndBound}) {
+           {SearchEngine::kAStar, SearchEngine::kBranchAndBound}) {
         for (const std::size_t threads : {1u, 8u}) {
           options.engine = engine;
           options.threads = threads;

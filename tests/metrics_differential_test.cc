@@ -21,7 +21,6 @@ namespace {
 
 constexpr SearchEngine kEngines[] = {SearchEngine::kDijkstra,
                                      SearchEngine::kAStar,
-                                     SearchEngine::kAStarDominance,
                                      SearchEngine::kBranchAndBound};
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
