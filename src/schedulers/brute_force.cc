@@ -645,8 +645,7 @@ class Searcher {
  private:
   using Scratch = typename Ops::Scratch;
 
-  PhaseStatus RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
-                       std::size_t threads);
+  PhaseStatus RunPhase(const PhaseConfig& cfg);
 
   // Per-chunk relaxation memo over the shared dist map: the best (g, len)
   // this chunk has OFFERED the map for recently-seen states. Within a
@@ -788,6 +787,8 @@ class Searcher {
   std::vector<UpdateBuffer> chunk_updates_;
   std::vector<Scratch> chunk_scratch_;
   std::vector<RelaxMemo> chunk_memo_;
+  std::size_t threads_ = 1;  // requested; fixes the cutoff and chunking
+  std::size_t workers_ = 1;  // pool size, capped at the hardware
 
   // Shared best-known goal cost: relaxations that discover a goal lower it
   // (atomically, across all workers), and every relaxation prunes targets
@@ -809,6 +810,10 @@ class Searcher {
   std::vector<unsigned char> pruned_root_load_;
   Key goal_key_;
   std::vector<State> goal_states_;
+  // Created on the first fanned wave, so a search whose waves all stay
+  // small never spawns a thread. Declared last so its workers are joined
+  // before any member their tasks touch is destroyed.
+  std::optional<ThreadPool> pool_;
 };
 
 template <typename Ops>
@@ -925,8 +930,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
 }
 
 template <typename Ops>
-PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
-                                    std::size_t threads) {
+PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
   dist_.Reset();
   for (RelaxMemo& memo : chunk_memo_) memo.Clear();
   pending_.clear();
@@ -1004,8 +1008,18 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
       return Abort(PhaseStatus::kMemoryCap, level);
     }
 
-    if (pool != nullptr && live.size() >= threads * 2) {
-      const std::size_t chunk_count = std::min(live.size(), threads * 4);
+    // Only waves big enough to amortize the task dispatch go to the pool;
+    // the rest run inline as one chunk. Inline waves have a single writer,
+    // so the dist map drops its shard locks for them, exactly as in a
+    // threads = 1 run. The choice is a function of the wave size and the
+    // requested thread count, so every run at a given thread count makes
+    // it identically.
+    const bool fanned = workers_ > 1 && live.size() >= FanOutCutoff(threads_);
+    dist_.SetConcurrent(fanned);
+    if (fanned) {
+      if (!pool_.has_value()) pool_.emplace(workers_);
+      ++stats_.waves_fanned;
+      const std::size_t chunk_count = threads_ * 4;
       const std::size_t chunk =
           (live.size() + chunk_count - 1) / chunk_count;
       const std::size_t num_chunks = (live.size() + chunk - 1) / chunk;
@@ -1019,7 +1033,7 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
         chunk_memo_.resize(num_chunks);
       }
       std::vector<SearchStats> chunk_stats(num_chunks);
-      TaskGroup group(*pool);
+      TaskGroup group(*pool_);
       for (std::size_t c = 0; c < num_chunks; ++c) {
         chunk_updates_[c].Clear();
         const std::size_t lo = c * chunk;
@@ -1076,6 +1090,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       static const obs::Counter runs("search.runs");
       static const obs::Counter expanded("search.expanded");
       static const obs::Counter waves("search.waves");
+      static const obs::Counter waves_fanned("search.waves_fanned");
       static const obs::Counter generated("search.generated");
       static const obs::Counter improved("search.improved");
       static const obs::Counter pruned_bound("search.pruned_bound");
@@ -1093,6 +1108,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       runs.Add(1);
       expanded.Add(self->stats_.expanded);
       waves.Add(self->stats_.waves);
+      waves_fanned.Add(self->stats_.waves_fanned);
       generated.Add(self->stats_.generated);
       improved.Add(self->stats_.improved);
       pruned_bound.Add(self->stats_.pruned_bound);
@@ -1134,22 +1150,17 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
     return TimedOutResult(CancelStatus(), root_lb);
   }
 
-  const std::size_t threads = ResolveThreadCount(options_.threads);
+  threads_ = ResolveThreadCount(options_.threads);
   // Pool size is capped at the hardware concurrency: extra workers on an
   // oversubscribed machine only add context switches under the expansion
   // locks. Results are unchanged by construction — the determinism
   // contract holds for ANY worker count, and the wave chunking stays a
   // function of the REQUESTED count (chunk merges are chunk-ordered, so
-  // the pending map sees the same update sequence either way).
-  const std::size_t workers = std::min<std::size_t>(
-      threads,
+  // the pending map sees the same update sequence either way). The pool
+  // itself is created lazily by RunPhase.
+  workers_ = std::min<std::size_t>(
+      threads_,
       std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
-  // Single-worker runs never contend, so the dist map drops its shard
-  // locks — TryImprove becomes plain loads and stores.
-  dist_.SetConcurrent(pool_ptr != nullptr);
 
   PhaseConfig cfg;
   cfg.use_heuristic = informed;
@@ -1158,7 +1169,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   if (two_phase) cfg.use_len = false;
   if (anytime) cfg.prime_bound = incumbent->cost;
 
-  PhaseStatus status = RunPhase(cfg, pool_ptr, threads);
+  PhaseStatus status = RunPhase(cfg);
   if (IsAbort(status)) {
     const Weight lb = std::max(root_lb, abort_lb_);
     if (anytime) {
@@ -1197,7 +1208,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
     PhaseConfig exact;
     exact.use_heuristic = true;
     exact.prime_bound = result.cost;
-    status = RunPhase(exact, pool_ptr, threads);
+    status = RunPhase(exact);
     if (IsAbort(status)) {
       // The optimum C* is already proven; only the canonical schedule is
       // missing. With an incumbent in hand, return it bounded by C*

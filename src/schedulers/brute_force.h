@@ -67,6 +67,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -94,6 +95,10 @@ const char* ToString(SearchEngine engine);
 struct SearchStats {
   std::uint64_t expanded = 0;          // states settled and fanned out
   std::uint64_t waves = 0;             // level-synchronous waves run
+  // Waves expanded on the worker pool rather than inline (see
+  // FanOutCutoff). A function of the inputs, the requested thread count
+  // and the hardware concurrency; informational only.
+  std::uint64_t waves_fanned = 0;
   std::uint64_t generated = 0;         // successor relaxations attempted
   std::uint64_t improved = 0;          // relaxations that changed the map
   std::uint64_t pruned_bound = 0;      // cut by f > best known goal cost
@@ -122,6 +127,7 @@ struct SearchStats {
   void Accumulate(const SearchStats& other) {
     expanded += other.expanded;
     waves += other.waves;
+    waves_fanned += other.waves_fanned;
     generated += other.generated;
     improved += other.improved;
     pruned_bound += other.pruned_bound;
@@ -135,6 +141,17 @@ struct SearchStats {
     succ_gen_ns += other.succ_gen_ns;
   }
 };
+
+// Smallest wave, in live states, that a search at `threads` requested
+// threads sends to its worker pool. Below it the task dispatch, the shard
+// locks and the colder per-chunk relaxation memos cost more than the
+// extra workers return (at 2 threads, fanning astar's 1-2k-state waves
+// on dwt(8,2) made the whole search ~10% slower). Traced searches average
+// well under 100 states per wave; the waves that do gain from threads
+// (dijkstra's, 16k states and up) sit above it.
+constexpr std::size_t FanOutCutoff(std::size_t threads) {
+  return 1024 * threads;
+}
 
 struct BruteForceOptions {
   std::uint64_t initial_red = 0;  // bitmask over NodeId (ids < 64)
@@ -166,8 +183,11 @@ struct BruteForceOptions {
   const CancelToken* cancel = nullptr;
   // Worker threads for the frontier expansion. 1 = fully sequential
   // (no pool is created); 0 = DefaultSearchThreads(), the process-wide
-  // default installed by --threads / WRBPG_THREADS. Any value returns the
-  // identical result — see the determinism contract above.
+  // default installed by --threads / WRBPG_THREADS. Above 1, only waves
+  // of at least FanOutCutoff(threads) live states are split across a
+  // pool (capped at the hardware concurrency and created on the first
+  // such wave); smaller waves run inline without locks. Any value
+  // returns the identical result — see the determinism contract above.
   std::size_t threads = 0;
   // Which search engine to run. All engines return identical results on
   // runs that complete; they differ only in how many states they touch on

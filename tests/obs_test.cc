@@ -1,6 +1,7 @@
 // Unit tests for the observability layer (src/obs): the lock-free metric
 // registry's exactness under concurrency, span-tree aggregation, the JSON
-// writer, and the shared wrbpg-obs-v1 document shape.
+// writer, the shared wrbpg-obs-v1 document shape, and the search's
+// wave fan-out counter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,10 +10,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/analysis.h"
+#include "dataflows/tree_graph.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
+#include "schedulers/brute_force.h"
 
 namespace wrbpg::obs {
 namespace {
@@ -237,6 +241,34 @@ TEST_F(ObsTest, RenderReportShowsSpansAndMetrics) {
   const std::string report = RenderReport();
   EXPECT_NE(report.find("test.report-span"), std::string::npos);
   EXPECT_NE(report.find("test.report-counter = 3"), std::string::npos);
+}
+
+// search.waves_fanned mirrors SearchStats::waves_fanned: zero for a
+// sequential search, and positive once a multi-threaded dijkstra search
+// grows a wave past FanOutCutoff and sends it to the pool.
+TEST_F(ObsTest, SearchCountsFannedWaves) {
+  const TreeGraph tree = BuildPerfectTree(2, 3);
+  const Weight budget = 2 * MinValidBudget(tree.graph);
+  const BruteForceScheduler scheduler(tree.graph);
+  BruteForceOptions options;
+  options.engine = SearchEngine::kDijkstra;
+  SearchStats stats;
+  options.stats = &stats;
+
+  options.threads = 1;
+  scheduler.Run(budget, options);
+  EXPECT_EQ(stats.waves_fanned, 0u);
+  EXPECT_EQ(ReadMetric("search.waves_fanned"), 0u);
+
+  ResetAll();
+  options.threads = 2;
+  scheduler.Run(budget, options);
+  ASSERT_GE(stats.max_frontier, FanOutCutoff(2));
+  EXPECT_EQ(ReadMetric("search.waves_fanned"), stats.waves_fanned);
+  EXPECT_LT(stats.waves_fanned, stats.waves);
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(stats.waves_fanned, 0u);
+  }
 }
 
 }  // namespace

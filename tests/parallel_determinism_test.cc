@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analysis.h"
@@ -152,6 +153,45 @@ TEST(ParallelDeterminism, BudgetSweepIdentical) {
     options.threads = threads;
     EXPECT_EQ(EvaluateBudgets(cost_fn, budgets, options), seq)
         << "threads=" << threads;
+  }
+}
+
+// Small waves run inline at any thread count (FanOutCutoff), so most
+// instances above never touch the pool. This one is chosen so that they
+// do: dijkstra on an ample-budget kary(2,3) tree grows waves past the
+// 8-thread cutoff, and 2 and 8 threads must still bit-match 1 thread on
+// both state representations.
+TEST(ParallelDeterminism, FannedWavesBitMatchSequential) {
+  const TreeGraph tree = BuildPerfectTree(2, 3);
+  const Weight budget = 2 * MinValidBudget(tree.graph);
+  const BruteForceScheduler scheduler(tree.graph);
+  for (const bool wide : {false, true}) {
+    const std::string label = wide ? "wide" : "packed";
+    BruteForceOptions options;
+    options.engine = SearchEngine::kDijkstra;
+    options.force_wide_state = wide;
+    options.threads = 1;
+    SearchStats seq_stats;
+    options.stats = &seq_stats;
+    const ScheduleResult seq = scheduler.Run(budget, options);
+    ASSERT_TRUE(seq.feasible) << label;
+    ASSERT_GE(seq_stats.max_frontier, FanOutCutoff(8)) << label;
+    EXPECT_EQ(seq_stats.waves_fanned, 0u) << label;
+    for (const std::size_t threads : {2u, 8u}) {
+      options.threads = threads;
+      SearchStats par_stats;
+      options.stats = &par_stats;
+      const ScheduleResult par = scheduler.Run(budget, options);
+      const std::string run = label + " threads=" + std::to_string(threads);
+      ExpectIdentical(seq, par, run);
+      EXPECT_EQ(par_stats.expanded, seq_stats.expanded) << run;
+      EXPECT_EQ(par_stats.waves, seq_stats.waves) << run;
+      if (std::thread::hardware_concurrency() > 1) {
+        EXPECT_GT(par_stats.waves_fanned, 0u) << run;
+      }
+    }
+    const SimResult sim = ExpectValid(tree.graph, budget, seq.schedule);
+    EXPECT_EQ(sim.cost, seq.cost) << label;
   }
 }
 

@@ -25,6 +25,12 @@ Correctness is gated unconditionally: a row whose `identical` flag is
 false, whose cost differs from the baseline's, or that disappeared from
 the current document fails the diff in either mode.
 
+Thread scaling is gated within the current document alone: every
+engine-compare row at threads=N > 1 must take at most (1 + threshold) x
+the time of the same document's threads=1 row for its (instance, mode,
+engine) — threads never make a search slower. Pairs where both rows are
+under --min-ms are skipped as jitter.
+
 anytime-sweep documents are compared report-only: optimality gaps at a
 wall-clock deadline depend on the machine, so gap changes are printed
 (and a widened gap is flagged loudly) but never fail the gate. Validity
@@ -121,6 +127,36 @@ def reference_times(rows):
     return refs
 
 
+def thread_scaling(rows, threshold, min_ms):
+    """threads=N vs the same document's threads=1 row per (instance,
+    mode, engine); failures for rows slower than (1 + threshold) x."""
+    t1 = {(r["instance"], r["mode"], r["engine"]): r["time_ms"]
+          for r in rows if r["threads"] == 1}
+    failures = []
+    print("\nthread scaling (threads=N / threads=1, same document)")
+    print(f"{'row':<44} {'t1':>9} {'tN':>9} {'ratio':>7}  verdict")
+    for row in sorted(rows, key=row_key):
+        if row["threads"] == 1:
+            continue
+        name = "{}/{}/{}/t{}".format(*row_key(row))
+        ref = t1.get((row["instance"], row["mode"], row["engine"]))
+        if ref is None:
+            failures.append(f"{name}: no threads=1 row to scale against")
+            continue
+        if max(ref, row["time_ms"]) < min_ms:
+            print(f"{name:<44} {'-':>9} {'-':>9} {'-':>7}  "
+                  f"skipped (< {min_ms:g} ms)")
+            continue
+        ratio = row["time_ms"] / ref if ref > 0 else math.inf
+        slower = ratio > 1.0 + threshold
+        print(f"{name:<44} {ref:>9.1f} {row['time_ms']:>9.1f} "
+              f"{ratio:>6.2f}x  {'SLOWER' if slower else 'ok'}")
+        if slower:
+            failures.append(f"{name}: {ratio:.2f}x the threads=1 time "
+                            f"(limit {1.0 + threshold:.2f}x)")
+    return failures
+
+
 def diff_engine_compare(base, curs, threshold, absolute, min_ms):
     base_rows = {row_key(r): r for r in base["rows"]}
     cur_rows, failures = merge_runs(curs, row_key)
@@ -176,6 +212,7 @@ def diff_engine_compare(base, curs, threshold, absolute, min_ms):
         geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         print(f"\ngeomean current/baseline: {geo:.3f}x "
               f"({'relative to dijkstra/t1' if not absolute else 'absolute'})")
+    failures += thread_scaling(cur_rows.values(), threshold, min_ms)
     return failures
 
 
@@ -281,8 +318,10 @@ def main():
                         help="one or more runs of the same bench "
                              "invocation (wall-clock min-merged per row)")
     parser.add_argument("--threshold", type=float, default=0.15,
-                        help="fail on rows slower than baseline by more "
-                             "than this fraction (default 0.15)")
+                        help="fail on rows slower than baseline, or "
+                             "engine-compare threads=N rows slower than "
+                             "threads=1, by more than this fraction "
+                             "(default 0.15)")
     parser.add_argument("--absolute", action="store_true",
                         help="compare raw time_ms instead of normalizing "
                              "by each document's dijkstra/t1 row")
