@@ -4,7 +4,10 @@
 // Default mode supports the polynomial-time claims of Theorems 3.5 and
 // 3.8: DP cost evaluation and schedule generation scale polynomially in
 // |V| (DWT) and stay tractable in k (k-ary trees), and the WRBPG
-// simulator replays hundreds of thousands of moves per millisecond.
+// simulator replays hundreds of thousands of moves per millisecond. The
+// BM_HashGraph / BM_DeterministicLabeling / BM_FindIsomorphism* rows time
+// the canonical layer (DESIGN.md §12.2) on serve-hot shapes; select them
+// with --benchmark_filter='Hash|Labeling|Isomorphism'.
 //
 // `bench_scheduler_perf --threads-sweep [--csv <dir>]` instead runs the
 // exact brute-force search and the analysis budget sweep at 1/2/4/8
@@ -57,13 +60,16 @@
 
 #include "bench/bench_util.h"
 #include "core/analysis.h"
+#include "core/graph_builder.h"
 #include "core/simulator.h"
+#include "dataflows/builtin_spec.h"
 #include "dataflows/butterfly_graph.h"
 #include "dataflows/dwt_graph.h"
 #include "dataflows/mvm_graph.h"
 #include "dataflows/random_dag.h"
 #include "dataflows/tree_graph.h"
 #include "ganalysis/bounds.h"
+#include "ganalysis/canonical.h"
 #include "obs/report.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
@@ -169,6 +175,72 @@ void BM_MinMemorySearchDwt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinMemorySearchDwt);
+
+// Canonical layer (DESIGN.md §12.2) on serve-hot shapes: the iso-invariant
+// hash, one deterministic labeling, and an isomorphism search against a
+// relabeled copy — two-graph, and with the first graph's labeling
+// precomputed as the service's cache entries hold it.
+Graph Relabeled(const Graph& graph, std::uint64_t seed) {
+  const NodeId n = graph.num_nodes();
+  std::vector<NodeId> perm(n);
+  for (NodeId v = 0; v < n; ++v) perm[v] = v;
+  Rng rng(seed);
+  for (NodeId i = n; i > 1; --i) {
+    std::swap(perm[i - 1], perm[static_cast<NodeId>(rng.UniformInt(0, i - 1))]);
+  }
+  std::vector<NodeId> inverse(n);
+  for (NodeId v = 0; v < n; ++v) inverse[perm[v]] = v;
+  GraphBuilder builder;
+  for (NodeId v = 0; v < n; ++v) builder.AddNode(graph.weight(inverse[v]));
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId c : graph.children(v)) builder.AddEdge(perm[v], perm[c]);
+  }
+  return builder.BuildOrDie();
+}
+
+void BM_HashGraph(benchmark::State& state, const char* spec) {
+  const Graph graph = BuildBuiltinGraph(spec).graph();
+  for (auto _ : state) benchmark::DoNotOptimize(HashGraph(graph));
+}
+
+void BM_DeterministicLabeling(benchmark::State& state, const char* spec) {
+  const Graph graph = BuildBuiltinGraph(spec).graph();
+  for (auto _ : state) benchmark::DoNotOptimize(DeterministicLabeling(graph));
+}
+
+void BM_FindIsomorphism(benchmark::State& state, const char* spec) {
+  const Graph graph = BuildBuiltinGraph(spec).graph();
+  const Graph relabeled = Relabeled(graph, 0x150);
+  for (auto _ : state) {
+    const auto map = FindIsomorphism(graph, relabeled);
+    if (!map) state.SkipWithError("isomorphism not found");
+    benchmark::DoNotOptimize(map);
+  }
+}
+
+void BM_FindIsomorphismLabeled(benchmark::State& state, const char* spec) {
+  const Graph graph = BuildBuiltinGraph(spec).graph();
+  const Graph relabeled = Relabeled(graph, 0x150);
+  const std::vector<std::uint32_t> labels = DeterministicLabeling(graph);
+  for (auto _ : state) {
+    const auto map = FindIsomorphism(graph, labels, relabeled);
+    if (!map) state.SkipWithError("isomorphism not found");
+    benchmark::DoNotOptimize(map);
+  }
+}
+
+#define WRBPG_CANONICAL_BENCH(fn)                                    \
+  BENCHMARK_CAPTURE(fn, dwt_128_2, "dwt:128,2");                     \
+  BENCHMARK_CAPTURE(fn, kary_4_4, "kary:4,4");                       \
+  BENCHMARK_CAPTURE(fn, kary_2_7, "kary:2,7");                       \
+  BENCHMARK_CAPTURE(fn, butterfly_32, "butterfly:32");               \
+  BENCHMARK_CAPTURE(fn, mvm_6_6, "mvm:6,6");                         \
+  BENCHMARK_CAPTURE(fn, random_10_12_7, "random:10,12,7")
+WRBPG_CANONICAL_BENCH(BM_HashGraph);
+WRBPG_CANONICAL_BENCH(BM_DeterministicLabeling);
+WRBPG_CANONICAL_BENCH(BM_FindIsomorphism);
+WRBPG_CANONICAL_BENCH(BM_FindIsomorphismLabeled);
+#undef WRBPG_CANONICAL_BENCH
 
 // ---------------------------------------------------------------------------
 // --threads-sweep: thread-scaling table for the parallel search engine.

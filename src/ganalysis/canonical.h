@@ -1,13 +1,20 @@
 // Canonical structure analysis: color refinement, iso-invariant hashing,
 // and verified vertex orbits (DESIGN.md §12).
 //
-// The refinement is the classic 1-dimensional Weisfeiler-Leman iteration
-// seeded with (weight, in-degree, out-degree) and refined by the sorted
-// parent/child color multisets until the partition stabilizes. Colors are
-// assigned as ranks over the lexicographically sorted signatures, so the
-// color VALUES themselves are isomorphism-invariant integers — two
-// isomorphic graphs produce identical color histograms, which is what
-// makes HashGraph iso-invariant by construction.
+// One refinement engine serves every entry point: McKay-style equitable
+// refinement over an ORDERED partition. The vertices are listed cell by
+// cell; the partition is seeded with (weight, in-degree, out-degree)
+// classes in key order and refined by a FIFO queue of splitter cells.
+// Popping splitter W counts, for each vertex, its parents in W and its
+// children in W; only the cells holding touched vertices are re-split,
+// their pieces ordered by (parent count, child count) and the cells taken
+// in ascending position. Every ordering decision reads only invariants,
+// so the cell SEQUENCE is isomorphism-invariant, and the coarsest
+// equitable partition it converges to is exactly the stable 1-dimensional
+// Weisfeiler-Leman partition (sorted parent/child color multisets). A
+// vertex's color is its cell's rank in that sequence, so two isomorphic
+// graphs produce identical color histograms — which is what makes
+// HashGraph iso-invariant by construction.
 //
 // Orbit contract: 1-WL color classes only OVER-approximate the true
 // automorphism orbits (refinement-equivalent vertices need not be mapped
@@ -30,12 +37,12 @@
 
 namespace wrbpg {
 
-// Stable 1-WL coloring. colors[v] is the rank (0-based) of v's stable
-// signature; ranks are iso-invariant (see header comment).
+// Stable 1-WL coloring. colors[v] is the rank (0-based) of v's cell in
+// the equitable ordered partition; ranks are iso-invariant (see header
+// comment).
 struct ColorRefinement {
   std::vector<std::uint32_t> colors;
   std::uint32_t num_colors = 0;
-  int rounds = 0;  // refinement rounds until the partition stabilized
 };
 
 ColorRefinement RefineColors(const Graph& graph);
@@ -48,6 +55,9 @@ ColorRefinement RefineColors(const Graph& graph);
 using GraphHash = std::uint64_t;
 
 GraphHash HashGraph(const Graph& graph);
+// Same hash from a refinement the caller already holds
+// (refinement == RefineColors(graph)).
+GraphHash HashGraph(const Graph& graph, const ColorRefinement& refinement);
 
 // Verified automorphism classes. orbit_of[v] is the smallest vertex id in
 // v's class; vertices share a class only when an explicit automorphism
@@ -62,15 +72,20 @@ struct OrbitPartition {
 };
 
 OrbitPartition ComputeOrbits(const Graph& graph);
+// Same orbits from a refinement the caller already holds
+// (refinement == RefineColors(graph)).
+OrbitPartition ComputeOrbits(const Graph& graph,
+                             const ColorRefinement& refinement);
 
 // Deterministic discrete labeling by individualize-and-refine: refine,
-// then repeatedly give the smallest-id vertex of the first non-singleton
-// color class a fresh color and re-refine, until every class is a
-// singleton. labels[v] is then a permutation of 0..n-1. Optionally a
+// then repeatedly split the smallest-id vertex of the first non-singleton
+// cell off into a cell of its own and re-refine from that singleton,
+// until every cell is a singleton. labels[v] is then v's position in the
+// discrete ordered partition, a permutation of 0..n-1. Optionally a
 // vertex is individualized FIRST (before any tie-breaking), which is how
-// the orbit verifier aligns two sides of a candidate automorphism. The
-// labeling depends on vertex ids (it is NOT a canonical form); use
-// HashGraph for iso-invariant identity.
+// the orbit verifier aligns two sides of a candidate automorphism; an id
+// outside the graph is ignored. The labeling depends on vertex ids (it is
+// NOT a canonical form); use HashGraph for iso-invariant identity.
 std::vector<std::uint32_t> DeterministicLabeling(
     const Graph& graph, std::optional<NodeId> individualize_first = {});
 
@@ -86,5 +101,13 @@ bool IsIsomorphismMap(const Graph& a, const Graph& b,
 // dataflow families (dwt/kary/chain/mvm/butterfly).
 std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
                                                    const Graph& b);
+// Same search with a's labeling supplied by the caller (a_labels ==
+// DeterministicLabeling(a)), so a graph matched many times — a cache
+// entry — is labeled once. Only b is labeled here; the map is still
+// verified edge by edge, so a wrong a_labels can cost a miss, never a
+// wrong map.
+std::optional<std::vector<NodeId>> FindIsomorphism(
+    const Graph& a, const std::vector<std::uint32_t>& a_labels,
+    const Graph& b);
 
 }  // namespace wrbpg

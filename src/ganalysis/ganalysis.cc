@@ -125,8 +125,8 @@ GraphAnalysis AnalyzeGraph(const Graph& graph, const AnalysisOptions& options) {
     obs::ScopedSpan pass_span("ganalysis.canonical");
     const ColorRefinement refinement = RefineColors(graph);
     a.num_colors = refinement.num_colors;
-    a.hash = HashGraph(graph);
-    a.orbits = ComputeOrbits(graph);
+    a.hash = HashGraph(graph, refinement);
+    a.orbits = ComputeOrbits(graph, refinement);
     orbit_gauge.Max(a.orbits.num_orbits);
   }
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -76,6 +77,22 @@ struct ScheduleService::CacheEntry {
   ScheduleResult result;
   std::string winner;
   std::size_t accounted_bytes = 0;
+
+  // DeterministicLabeling(graph), computed once on the first iso hit: the
+  // stored graph never changes, so later hits label only the request.
+  // Lazy, so inserts and entries never matched by an isomorph pay nothing.
+  const std::vector<std::uint32_t>& labels() const {
+    std::call_once(labels_once_, [this] {
+      static const obs::Counter labelings("service.iso_labelings");
+      labelings.Add(1);
+      labels_ = DeterministicLabeling(graph);
+    });
+    return labels_;
+  }
+
+ private:
+  mutable std::once_flag labels_once_;
+  mutable std::vector<std::uint32_t> labels_;
 };
 
 ScheduleService::ScheduleService(const ServiceOptions& options)
@@ -187,14 +204,15 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
         if (!entry->ok) {
           // Infeasibility transfers across isomorphism: permuting node
           // ids changes no weight and no budget.
-          if (FindIsomorphism(entry->graph, *request.graph)) {
+          if (FindIsomorphism(entry->graph, entry->labels(),
+                              *request.graph)) {
             iso_hits.Add(1);
             const std::scoped_lock lock(stats_mu_);
             ++stats_.iso_hits;
             return respond_from(entry, ServeSource::kIsoCacheHit);
           }
-        } else if (const auto map =
-                       FindIsomorphism(entry->graph, *request.graph)) {
+        } else if (const auto map = FindIsomorphism(
+                       entry->graph, entry->labels(), *request.graph)) {
           std::vector<Move> moves = entry->result.schedule.moves();
           for (Move& move : moves) move.node = (*map)[move.node];
           ScheduleResult renamed = entry->result;

@@ -23,7 +23,9 @@
 //      different node ids) is served by renaming the stored schedule
 //      through an explicitly verified isomorphism (FindIsomorphism) and
 //      re-validating it in the simulator — same cost, provably valid,
-//      but node ids follow the request's labeling.
+//      but node ids follow the request's labeling. Each entry computes
+//      its stored graph's labeling once, on its first iso hit, so an
+//      iso hit labels only the request graph.
 //
 //   3. Single-flight dedup (util/singleflight.h): concurrent identical
 //      requests (exact graph bytes + budget) trigger exactly ONE solve;
@@ -50,8 +52,8 @@
 // ANY later deadline.
 //
 // Observability: service.* counters (requests, hits, iso hits, misses,
-// dedup shares, solves, insert rejections) and service.serve/solve spans
-// (wrbpg-obs-v1).
+// dedup shares, solves, insert rejections, entry labelings) and
+// service.serve/solve spans (wrbpg-obs-v1).
 #pragma once
 
 #include <cstdint>

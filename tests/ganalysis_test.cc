@@ -11,12 +11,15 @@
 #include "core/analysis.h"
 #include "core/graph_builder.h"
 #include "core/serialize.h"
+#include "dataflows/builtin_spec.h"
 #include "dataflows/dwt_graph.h"
+#include "dataflows/random_dag.h"
 #include "dataflows/tree_graph.h"
 #include "ganalysis/canonical.h"
 #include "ganalysis/ganalysis.h"
 #include "ganalysis/recognition.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 namespace wrbpg {
 namespace {
@@ -110,6 +113,198 @@ TEST(Canonical, FindIsomorphismRoundTripsThroughPermutation) {
   EXPECT_FALSE(
       FindIsomorphism(testing::MakeChain(5), testing::MakeDiamond())
           .has_value());
+}
+
+// Reference 1-WL: signature-rank passes (own color, sorted parent colors,
+// sorted child colors) from the (weight, in-degree, out-degree) seed until
+// the class count stops growing. The oracle the partition refinement must
+// agree with as a partition.
+std::vector<std::uint32_t> ReferenceWl(const Graph& graph) {
+  const NodeId n = graph.num_nodes();
+  using Signature = std::vector<std::uint64_t>;
+  std::vector<std::uint32_t> colors(n, 0);
+  auto rank = [&](const std::vector<Signature>& sigs) {
+    std::vector<NodeId> order(n);
+    std::iota(order.begin(), order.end(), NodeId{0});
+    std::sort(order.begin(), order.end(),
+              [&](NodeId a, NodeId b) { return sigs[a] < sigs[b]; });
+    std::uint32_t classes = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i == 0 || sigs[order[i]] != sigs[order[i - 1]]) ++classes;
+      colors[order[i]] = classes - 1;
+    }
+    return classes;
+  };
+  std::vector<Signature> sigs(n);
+  for (NodeId v = 0; v < n; ++v) {
+    sigs[v] = {static_cast<std::uint64_t>(graph.weight(v)),
+               graph.in_degree(v), graph.out_degree(v)};
+  }
+  std::uint32_t classes = rank(sigs);
+  while (true) {
+    for (NodeId v = 0; v < n; ++v) {
+      Signature sig{colors[v], graph.in_degree(v)};
+      for (const NodeId p : graph.parents(v)) sig.push_back(colors[p]);
+      std::sort(sig.begin() + 2, sig.end());
+      const std::size_t children_begin = sig.size() + 1;
+      sig.push_back(graph.out_degree(v));
+      for (const NodeId c : graph.children(v)) sig.push_back(colors[c]);
+      std::sort(sig.begin() + static_cast<std::ptrdiff_t>(children_begin),
+                sig.end());
+      sigs[v] = std::move(sig);
+    }
+    const std::uint32_t next = rank(sigs);
+    if (next == classes) return colors;
+    classes = next;
+  }
+}
+
+// True when the two colorings induce the same partition of the vertices.
+bool SamePartition(const std::vector<std::uint32_t>& x,
+                   const std::vector<std::uint32_t>& y) {
+  if (x.size() != y.size()) return false;
+  std::vector<std::uint32_t> x_to_y(x.size(), kInvalidNode);
+  std::vector<std::uint32_t> y_to_x(y.size(), kInvalidNode);
+  for (std::size_t v = 0; v < x.size(); ++v) {
+    if (x_to_y[x[v]] == kInvalidNode) x_to_y[x[v]] = y[v];
+    if (y_to_x[y[v]] == kInvalidNode) y_to_x[y[v]] = x[v];
+    if (x_to_y[x[v]] != y[v] || y_to_x[y[v]] != x[v]) return false;
+  }
+  return true;
+}
+
+// Every family the serve-hot benchmark pool draws from.
+const std::vector<std::string>& ServedSpecs() {
+  static const std::vector<std::string> specs = {
+      "dwt:16,2",  "mvm:4,4",       "kary:2,5", "butterfly:8",
+      "dwt:32,3",  "random:6,8,3",  "kary:3,4", "butterfly:16",
+      "dwt:64,4",  "random:8,10,5", "kary:2,7", "mvm:6,6",
+      "dwt:128,2", "butterfly:32",  "kary:4,4", "random:10,12,7",
+  };
+  return specs;
+}
+
+Graph Builtin(const std::string& spec) {
+  const BuiltinGraph built = BuildBuiltinGraph(spec);
+  EXPECT_TRUE(built.ok) << spec << ": " << built.error;
+  return built.graph();
+}
+
+TEST(Canonical, RefinementMatchesReferenceWl) {
+  std::vector<Graph> corpus = {
+      testing::MakeDiamond({3, 5, 7, 11, 13}),
+      testing::MakeDiamond(),
+      testing::MakeChain(9),
+      BuildPerfectTree(2, 4).graph,
+      BuildDwt(8, 2).graph,
+      BuildDwt(16, 2).graph,
+  };
+  for (const std::string& spec : ServedSpecs()) corpus.push_back(Builtin(spec));
+  Rng rng(0xc0105u);
+  for (int i = 0; i < 200; ++i) {
+    // Wide, sparse layers with mostly uniform weights leave large cells
+    // that split several times before they are used as splitters — the
+    // case where queueing the wrong pieces loses a split.
+    RandomDagOptions options;
+    options.num_layers = 2 + i % 4;
+    options.nodes_per_layer = 4 + i % 13;
+    options.max_in_degree = 1 + (i / 2) % 3;
+    options.max_weight = i % 4 == 3 ? 3 : 1;
+    corpus.push_back(BuildRandomDag(rng, options));
+  }
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& g = corpus[i];
+    const ColorRefinement r = RefineColors(g);
+    const std::vector<std::uint32_t> reference = ReferenceWl(g);
+    EXPECT_TRUE(SamePartition(r.colors, reference)) << "graph " << i;
+    EXPECT_EQ(r.num_colors,
+              *std::max_element(reference.begin(), reference.end()) + 1)
+        << "graph " << i;
+  }
+}
+
+TEST(Canonical, FindIsomorphismOnEveryServedFamily) {
+  std::vector<Graph> corpus;
+  for (const std::string& spec : ServedSpecs()) corpus.push_back(Builtin(spec));
+  corpus.push_back(testing::MakeChain(12));
+  for (const Graph& g : corpus) {
+    const GraphHash hash = HashGraph(g);
+    const ColorRefinement colors = RefineColors(g);
+    const std::vector<std::uint32_t> labels = DeterministicLabeling(g);
+    for (std::uint32_t seed = 1; seed <= 5; ++seed) {
+      const std::vector<NodeId> perm = RandomPermutation(g.num_nodes(), seed);
+      const Graph h = Permute(g, perm);
+      EXPECT_EQ(HashGraph(h), hash) << "seed " << seed;
+      // Cell order reads only invariants, so colors move with the nodes.
+      const ColorRefinement h_colors = RefineColors(h);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(h_colors.colors[perm[v]], colors.colors[v]);
+      }
+      const auto map = FindIsomorphism(g, h);
+      ASSERT_TRUE(map.has_value()) << "seed " << seed;
+      EXPECT_TRUE(IsIsomorphismMap(g, h, *map));
+      const auto cached = FindIsomorphism(g, labels, h);
+      ASSERT_TRUE(cached.has_value()) << "seed " << seed;
+      EXPECT_TRUE(IsIsomorphismMap(g, h, *cached));
+      EXPECT_EQ(*cached, *map);
+    }
+  }
+}
+
+TEST(Canonical, IsIsomorphismMapRejectsBrokenMaps) {
+  const Graph g = BuildPerfectTree(2, 3).graph;
+  std::vector<NodeId> identity(g.num_nodes());
+  std::iota(identity.begin(), identity.end(), NodeId{0});
+  EXPECT_TRUE(IsIsomorphismMap(g, g, identity));
+  std::vector<NodeId> repeated = identity;
+  repeated[1] = repeated[0];  // not a bijection
+  EXPECT_FALSE(IsIsomorphismMap(g, g, repeated));
+  std::vector<NodeId> out_of_range = identity;
+  out_of_range[0] = g.num_nodes();
+  EXPECT_FALSE(IsIsomorphismMap(g, g, out_of_range));
+  // Swapping a leaf with an internal node breaks the parent sets.
+  std::vector<NodeId> swapped = identity;
+  const NodeId leaf = g.sources().front();
+  const NodeId root = g.sinks().front();
+  std::swap(swapped[leaf], swapped[root]);
+  EXPECT_FALSE(IsIsomorphismMap(g, g, swapped));
+  // Swapping two internal nodes of one level but not their subtrees keeps
+  // every weight and degree and breaks the parent sets.
+  std::vector<NodeId> cousins = identity;
+  const NodeId x = g.children(g.sources().front()).front();
+  const NodeId y = g.children(g.sources().back()).front();
+  ASSERT_NE(x, y);
+  std::swap(cousins[x], cousins[y]);
+  EXPECT_FALSE(IsIsomorphismMap(g, g, cousins));
+  // Swapping two sibling leaves is an automorphism.
+  std::vector<NodeId> siblings = identity;
+  const NodeId parent = g.children(leaf).front();
+  const auto pair = g.parents(parent);
+  ASSERT_EQ(pair.size(), 2u);
+  std::swap(siblings[pair[0]], siblings[pair[1]]);
+  EXPECT_TRUE(IsIsomorphismMap(g, g, siblings));
+}
+
+TEST(Canonical, DeterministicLabelingIgnoresOutOfRangeFirstVertex) {
+  const Graph g = BuildDwt(8, 2).graph;
+  const std::vector<std::uint32_t> plain = DeterministicLabeling(g);
+  EXPECT_EQ(DeterministicLabeling(g, g.num_nodes()), plain);
+  EXPECT_EQ(DeterministicLabeling(g, kInvalidNode), plain);
+  std::vector<std::uint32_t> sorted = plain;
+  std::sort(sorted.begin(), sorted.end());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(sorted[v], v);
+  // A valid first vertex is honored: labelings that individualize two
+  // sources first align to an automorphism mapping one to the other.
+  const NodeId u = g.sources().front();
+  const NodeId v = g.sources().back();
+  const std::vector<std::uint32_t> lu = DeterministicLabeling(g, u);
+  const std::vector<std::uint32_t> lv = DeterministicLabeling(g, v);
+  std::vector<NodeId> by_label(g.num_nodes());
+  for (NodeId x = 0; x < g.num_nodes(); ++x) by_label[lv[x]] = x;
+  std::vector<NodeId> map(g.num_nodes());
+  for (NodeId x = 0; x < g.num_nodes(); ++x) map[x] = by_label[lu[x]];
+  EXPECT_EQ(map[u], v);
+  EXPECT_TRUE(IsIsomorphismMap(g, g, map));
 }
 
 TEST(Recognition, IdentifiesChainKaryAndSerializedDwt) {

@@ -3,6 +3,7 @@
 // eviction, batch dispatch, and the deadline admission policy.
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <random>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/graph_builder.h"
 #include "core/simulator.h"
 #include "dataflows/builtin_spec.h"
+#include "obs/metrics.h"
 #include "service/service.h"
 
 namespace wrbpg {
@@ -160,6 +162,57 @@ TEST(ScheduleService, ServesPermutedIsomorphsFromCache) {
   ASSERT_TRUE(strict_iso.ok);
   EXPECT_EQ(strict_iso.source, ServeSource::kSolved);
   EXPECT_EQ(strict.stats().solves, 2u);
+}
+
+// Concurrent iso hits on one entry share its labeling: the first hit
+// computes it under call_once, every other hit waits for or reuses it.
+TEST(ScheduleService, ConcurrentIsoHitsLabelEntryOnce) {
+  const Graph graph = BuiltinOrDie("kary:2,5");
+  const Weight budget = MinValidBudget(graph) + 16;
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = budget;
+  const ServiceResponse cold = service.Serve(request);
+  ASSERT_TRUE(cold.ok);
+  ASSERT_EQ(cold.source, ServeSource::kSolved);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<Graph> permuted;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    permuted.push_back(PermuteGraph(graph, 0x150 + t));
+    ASSERT_NE(ToBinary(permuted.back()), ToBinary(graph));
+  }
+  const std::uint64_t labelings_before =
+      obs::ReadMetric("service.iso_labelings");
+  std::vector<ServiceResponse> responses(kThreads);
+  {
+    std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ServiceRequest iso_request;
+        iso_request.graph = &permuted[t];
+        iso_request.budget = budget;
+        start.arrive_and_wait();
+        responses[t] = service.Serve(iso_request);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const ServiceResponse& response = responses[t];
+    ASSERT_TRUE(response.ok) << "thread " << t;
+    EXPECT_EQ(response.source, ServeSource::kIsoCacheHit) << "thread " << t;
+    const SimResult sim =
+        Simulate(permuted[t], budget, response.result.schedule);
+    EXPECT_TRUE(sim.valid) << "thread " << t;
+    EXPECT_EQ(sim.cost, cold.result.cost) << "thread " << t;
+  }
+  EXPECT_EQ(obs::ReadMetric("service.iso_labelings") - labelings_before, 1u);
+  EXPECT_EQ(service.stats().iso_hits, kThreads);
+  EXPECT_EQ(service.stats().solves, 1u);
 }
 
 TEST(ScheduleService, DeriveKeyIsIsoInvariant) {
