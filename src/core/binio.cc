@@ -1,7 +1,6 @@
 #include "core/binio.h"
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -258,7 +257,6 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
     }
     builder.AddNode(weights[v], std::move(name));
   }
-  std::set<std::pair<std::uint32_t, std::uint32_t>> seen_edges;
   for (std::uint32_t e = 0; e < num_edges; ++e) {
     std::uint32_t u = 0;
     std::uint32_t v = 0;
@@ -268,10 +266,7 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
                   ") references an undeclared node");
     }
     if (u == v) return fail("self-loop on node " + std::to_string(u));
-    if (!seen_edges.emplace(u, v).second) {
-      return fail("duplicate edge (" + std::to_string(u) + "," +
-                  std::to_string(v) + ")");
-    }
+    // Duplicate edges are rejected once, by GraphBuilder::Build below.
     builder.AddEdge(u, v);
   }
   if (in.remaining() != 0) {

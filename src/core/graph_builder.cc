@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <utility>
 
 namespace wrbpg {
@@ -29,7 +28,6 @@ GraphBuilder::BuildResult GraphBuilder::Build(
     }
   }
 
-  std::set<std::pair<NodeId, NodeId>> seen;
   for (const auto& [u, v] : edges_) {
     if (u >= n || v >= n) {
       result.error = "edge (" + std::to_string(u) + "," + std::to_string(v) +
@@ -38,11 +36,6 @@ GraphBuilder::BuildResult GraphBuilder::Build(
     }
     if (u == v) {
       result.error = "self-loop on node " + std::to_string(u);
-      return result;
-    }
-    if (!seen.emplace(u, v).second) {
-      result.error = "duplicate edge (" + std::to_string(u) + "," +
-                     std::to_string(v) + ")";
       return result;
     }
   }
@@ -78,11 +71,19 @@ GraphBuilder::BuildResult GraphBuilder::Build(
   }
   // Deterministic neighbor order (edge insertion order is already stable, but
   // sorting makes equality of graphs independent of construction order).
+  // A sorted parent list also puts any duplicate edge next to its twin.
   for (NodeId v = 0; v < n; ++v) {
-    std::sort(g.parent_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.parent_offsets_[v]),
-              g.parent_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.parent_offsets_[v + 1]));
+    const auto first = g.parent_data_.begin() +
+                       static_cast<std::ptrdiff_t>(g.parent_offsets_[v]);
+    const auto last = g.parent_data_.begin() +
+                      static_cast<std::ptrdiff_t>(g.parent_offsets_[v + 1]);
+    std::sort(first, last);
+    const auto dup = std::adjacent_find(first, last);
+    if (dup != last) {
+      result.error = "duplicate edge (" + std::to_string(*dup) + "," +
+                     std::to_string(v) + ")";
+      return result;
+    }
     std::sort(g.child_data_.begin() +
                   static_cast<std::ptrdiff_t>(g.child_offsets_[v]),
               g.child_data_.begin() +

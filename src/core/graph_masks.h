@@ -5,19 +5,23 @@
 // configuration and a per-graph constant: the loadable set is
 // `blue & ~red`, the storable set `red & ~blue`, the deletable set `red`,
 // and the computable set is `~red & ~sources` filtered by
-// `parents(v) ⊆ red`. GraphMasks precomputes the per-graph constants as
-// arrays of 64-bit words (node v lives in word v/64, bit v%64) so those
+// `parents(v) ⊆ red`. BasicGraphMasks precomputes the per-graph constants
+// as arrays of `Word`s (node v lives in word v/bits, bit v%bits) so those
 // predicates become word-parallel AND/ANDNOT ops plus ctz iteration —
-// no per-node branching. One instance serves graphs of any width; the
-// packed (≤32-node) representation reads word 0 and truncates.
+// no per-node branching. Word type and word count are template
+// parameters, so every width of the exact search and the simulator's
+// GraphMasks read the same kind of table.
 //
 // Built once per Graph, read-only afterwards: safe to share across
 // threads.
 #pragma once
 
-#include <bit>
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/graph.h"
@@ -25,91 +29,100 @@
 
 namespace wrbpg {
 
-class GraphMasks {
+// One colour's mask words: a fixed-size array when the word count is a
+// compile-time constant, a heap vector sized at runtime when kWords == 0.
+template <typename Word, std::size_t kWords>
+using MaskWords = std::conditional_t<kWords == 0, std::vector<Word>,
+                                     std::array<Word, kWords>>;
+
+// A zeroed mask of `words` words (the size argument matters only for the
+// runtime-sized kWords == 0 form).
+template <typename Word, std::size_t kWords>
+MaskWords<Word, kWords> ZeroMask(std::size_t words) {
+  if constexpr (kWords == 0) {
+    return std::vector<Word>(words, 0);
+  } else {
+    (void)words;
+    return MaskWords<Word, kWords>{};
+  }
+}
+
+// The tables for one mask width: kWords words of type Word per node mask,
+// or (kWords == 0) as many as the graph needs, counted at runtime. At a
+// fixed width the per-graph masks are in-object arrays and every per-node
+// stride is a compile-time constant.
+template <typename Word, std::size_t kWords>
+class BasicGraphMasks {
  public:
+  static constexpr std::size_t kBits = std::numeric_limits<Word>::digits;
+
   // `with_children` additionally builds per-node child masks (used by the
-  // heuristic's M4 delta test; the simulator does not need them).
-  explicit GraphMasks(const Graph& graph, bool with_children = false)
-      : words_((static_cast<std::size_t>(graph.num_nodes()) + 63) / 64) {
-    if (words_ == 0) words_ = 1;
+  // heuristic's M4 delta test; the simulator does not need them). A fixed
+  // width needs num_nodes() <= kWords * kBits.
+  explicit BasicGraphMasks(const Graph& graph, bool with_children = false)
+      : words_(kWords != 0 ? kWords
+                           : std::max<std::size_t>(
+                                 1, (static_cast<std::size_t>(
+                                         graph.num_nodes()) + kBits - 1) /
+                                        kBits)),
+        sources_(ZeroMask<Word, kWords>(words_)),
+        sinks_(ZeroMask<Word, kWords>(words_)),
+        nodes_(ZeroMask<Word, kWords>(words_)) {
     const NodeId n = graph.num_nodes();
-    sources_.assign(words_, 0);
-    sinks_.assign(words_, 0);
-    nodes_.assign(words_, 0);
     parents_.assign(words_ * n, 0);
     if (with_children) children_.assign(words_ * n, 0);
     for (NodeId v = 0; v < n; ++v) {
-      nodes_[v / 64] |= 1ull << (v % 64);
-      if (graph.is_source(v)) sources_[v / 64] |= 1ull << (v % 64);
-      if (graph.is_sink(v)) sinks_[v / 64] |= 1ull << (v % 64);
+      nodes_[v / kBits] |= Bit(v);
+      if (graph.is_source(v)) sources_[v / kBits] |= Bit(v);
+      if (graph.is_sink(v)) sinks_[v / kBits] |= Bit(v);
       for (NodeId p : graph.parents(v)) {
-        parents_[words_ * v + p / 64] |= 1ull << (p % 64);
-        if (with_children) children_[words_ * p + v / 64] |= 1ull << (v % 64);
+        parents_[words_ * v + p / kBits] |= Bit(p);
+        if (with_children) children_[words_ * p + v / kBits] |= Bit(v);
       }
     }
   }
 
-  std::size_t words() const { return words_; }
-  const std::uint64_t* sources() const { return sources_.data(); }
-  const std::uint64_t* sinks() const { return sinks_.data(); }
-  // All valid node ids set: masks out the unused high bits of the last word.
-  const std::uint64_t* nodes() const { return nodes_.data(); }
-  const std::uint64_t* parents_of(NodeId v) const {
-    return &parents_[words_ * v];
-  }
-  bool has_children() const { return !children_.empty(); }
-  const std::uint64_t* children_of(NodeId v) const {
-    return &children_[words_ * v];
+  static Word Bit(NodeId v) {
+    return static_cast<Word>(Word{1} << (v % kBits));
   }
 
+  std::size_t words() const {
+    if constexpr (kWords == 0) {
+      return words_;
+    } else {
+      return kWords;
+    }
+  }
+  const Word* sources() const { return sources_.data(); }
+  const Word* sinks() const { return sinks_.data(); }
+  // All valid node ids set: masks out the unused high bits of the last word.
+  const Word* nodes() const { return nodes_.data(); }
+  const Word* parents_of(NodeId v) const { return &parents_[words() * v]; }
+  const Word* children_of(NodeId v) const { return &children_[words() * v]; }
+
   bool is_source(NodeId v) const {
-    return ((sources_[v / 64] >> (v % 64)) & 1) != 0;
+    return (sources_[v / kBits] & Bit(v)) != 0;
   }
 
   // True iff every parent of v is set in the word-span mask `red`.
-  bool ParentsSubsetOf(NodeId v, const std::uint64_t* red) const {
-    const std::uint64_t* p = parents_of(v);
-    for (std::size_t w = 0; w < words_; ++w) {
+  bool ParentsSubsetOf(NodeId v, const Word* red) const {
+    const Word* p = parents_of(v);
+    for (std::size_t w = 0; w < words(); ++w) {
       if ((p[w] & ~red[w]) != 0) return false;
     }
     return true;
   }
 
-  // Iterates the set bits of an n-word mask in ascending node order —
-  // the order the determinism contract's canonical schedule relies on.
-  template <typename Fn>
-  static void ForEachSetBit(const std::uint64_t* mask, std::size_t words,
-                            Fn&& fn) {
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t m = mask[w]; m != 0; m &= m - 1) {
-        fn(static_cast<NodeId>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(m))));
-      }
-    }
-  }
-
-  static bool AnySet(const std::uint64_t* mask, std::size_t words) {
-    for (std::size_t w = 0; w < words; ++w) {
-      if (mask[w] != 0) return true;
-    }
-    return false;
-  }
-
-  static bool AnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t words) {
-    for (std::size_t w = 0; w < words; ++w) {
-      if ((a[w] & b[w]) != 0) return true;
-    }
-    return false;
-  }
-
  private:
   std::size_t words_;
-  std::vector<std::uint64_t> sources_;
-  std::vector<std::uint64_t> sinks_;
-  std::vector<std::uint64_t> nodes_;
-  std::vector<std::uint64_t> parents_;   // words_ words per node
-  std::vector<std::uint64_t> children_;  // words_ words per node (optional)
+  MaskWords<Word, kWords> sources_;
+  MaskWords<Word, kWords> sinks_;
+  MaskWords<Word, kWords> nodes_;
+  std::vector<Word> parents_;   // words() words per node
+  std::vector<Word> children_;  // words() words per node (optional)
 };
+
+// The simulator's masks: 64-bit words, as many as the graph needs.
+using GraphMasks = BasicGraphMasks<std::uint64_t, 0>;
 
 }  // namespace wrbpg

@@ -64,19 +64,17 @@
 // composes the two and is pinned ≡ fresh Evaluate() in
 // tests/state_bound_test.cc over all mask pairs of small graphs.
 //
-// Supports graphs of ANY size. Configurations of graphs with at most 32
-// nodes use the packed uint32 mask fast path the exact engine's inline
-// states are built on; wider graphs use the word-span overload, whose
-// masks are arrays of 64-bit words (node v lives in word v/64, bit v%64)
-// with WordsPerColor() words per color. The word-span Evaluate needs a
-// caller-owned WideScratch so concurrent evaluations (parallel frontier
-// expansion) never share closure buffers. All precomputation is per
-// graph; Evaluate is allocation-free and iterates only over set bits of
-// the masks involved.
+// ONE CLOSURE, EVERY WIDTH. The bound is written once over red/blue masks
+// of `kWords` words of type `Word` per colour (node v lives in word
+// v/bits, bit v%bits). The exact search instantiates it at 32, 64, 128
+// and 256 bits per colour, where every mask — the context's closure and
+// the walk's scratch included — is a stack array; kWords == 0 is the
+// runtime-width form for graphs past 256 nodes, whose masks are vectors
+// sized once per context by MakeCtx(). Contexts are per calling thread.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/graph.h"
@@ -86,145 +84,181 @@
 
 namespace wrbpg {
 
+template <typename Word, std::size_t kWords>
 class StateBound {
  public:
+  using Mask = MaskWords<Word, kWords>;
+  static constexpr std::size_t kBits = BasicGraphMasks<Word, kWords>::kBits;
+
+  // Expansion context: the prepared state's closure, split into the
+  // exactly-maintained store term and the cached-closure load term, plus
+  // the walk buffers the slow paths reuse. Filled by Prepare(); read by
+  // EvalMove*(). The parent masks are NOT copied — EvalMove*() take them
+  // explicitly.
+  struct Ctx {
+    Mask need{};
+    Weight store = 0;
+    Weight load = 0;
+    bool dead = false;
+    Mask frontier{};  // walk scratch
+    Mask next{};
+    Mask tmp{};
+  };
+
   // `required_red` are nodes that must hold red pebbles at the end (a
   // bitmask over node ids; only ids < 64 are representable, which covers
   // every memory-state game the engines play); `require_sinks_blue` adds
-  // the game's normal stopping condition.
-  //
-  // `build_wide` controls whether the word-span machinery is built: the
-  // packed search path passes false so a ≤32-node StateBound carries no
-  // wide buffers at all (graphs above 32 nodes always build them — the
-  // packed masks cannot represent those).
+  // the game's normal stopping condition. A fixed-width instance needs
+  // num_nodes() <= kWords * bits.
   StateBound(const Graph& graph, Weight budget, std::uint64_t required_red,
-             bool require_sinks_blue, bool build_wide = true);
+             bool require_sinks_blue);
+
+  // Mask words per colour.
+  std::size_t words() const { return masks_.words(); }
+
+  // A context sized for this graph (stack-only at fixed widths).
+  Ctx MakeCtx() const {
+    Ctx ctx;
+    if constexpr (kWords == 0) {
+      ctx.need.assign(words(), 0);
+      ctx.frontier.assign(words(), 0);
+      ctx.next.assign(words(), 0);
+      ctx.tmp.assign(words(), 0);
+    }
+    return ctx;
+  }
 
   // Admissible lower bound on the remaining weighted I/O from (red, blue);
-  // kInfiniteCost when no valid completion exists from this state. Packed
-  // fast path, only valid when the graph has at most 32 nodes.
-  Weight Evaluate(std::uint32_t red, std::uint32_t blue) const;
-
-  // Reusable closure buffers for the word-span Evaluate. One per calling
-  // thread; sized on first use and never shrunk. `tmp` additionally
-  // carries toggled successor masks for the incremental slow paths.
-  struct WideScratch {
-    std::vector<std::uint64_t> need;
-    std::vector<std::uint64_t> frontier;
-    std::vector<std::uint64_t> next;
-    std::vector<std::uint64_t> tmp;
-  };
-
-  // Word-span Evaluate for graphs of any width: `red` and `blue` each
-  // point at WordsPerColor() words. Requires build_wide.
-  Weight Evaluate(const std::uint64_t* red, const std::uint64_t* blue,
-                  WideScratch& scratch) const;
+  // kInfiniteCost when no valid completion exists from this state. The
+  // context overload reuses (and overwrites) `ctx`.
+  Weight Evaluate(const Word* red, const Word* blue) const {
+    Ctx ctx = MakeCtx();
+    return Evaluate(red, blue, ctx);
+  }
+  Weight Evaluate(const Word* red, const Word* blue, Ctx& ctx) const {
+    Prepare(red, blue, ctx);
+    return ctx.dead ? kInfiniteCost : ctx.store + ctx.load;
+  }
 
   // ---- Incremental evaluation (see the header comment's move table) ----
 
-  // Expansion context for the packed path: the parent state's closure,
-  // split into the exactly-maintained store term and the cached-closure
-  // load term. Populated by Prepare(); read by EvalMove*().
-  struct PackedCtx {
-    std::uint32_t red = 0;
-    std::uint32_t blue = 0;
-    std::uint32_t need = 0;
-    Weight store = 0;
-    Weight load = 0;
-    bool dead = false;
-  };
-
-  // Expansion context for the word-span path. `need` is sized by
-  // Prepare(); red/blue are NOT copied — EvalMove*() take the parent
-  // masks explicitly so callers can point at interner-owned words.
-  struct WideCtx {
-    std::vector<std::uint64_t> need;
-    Weight store = 0;
-    Weight load = 0;
-    bool dead = false;
-  };
-
   // One full closure walk for the state about to be expanded.
-  void Prepare(std::uint32_t red, std::uint32_t blue, PackedCtx& ctx) const;
-  void Prepare(const std::uint64_t* red, const std::uint64_t* blue,
-               WideCtx& ctx, WideScratch& scratch) const;
+  void Prepare(const Word* red, const Word* blue, Ctx& ctx) const;
 
   // Exact O(1)/O(words) delta for the moves whose closure is provably
-  // unchanged (M1, M2, M3 with v ∉ need, M4 with no re-entry). Returns
-  // true and writes *h on the fast path; returns false when the move
-  // needs EvalMoveSlow. `move` must be legal in the ctx state.
-  bool EvalMoveFast(const PackedCtx& ctx, MoveType type, NodeId v,
-                    Weight* h) const;
-  bool EvalMoveFast(const WideCtx& ctx, const std::uint64_t* red,
-                    const std::uint64_t* blue, MoveType type, NodeId v,
-                    Weight* h) const;
+  // unchanged (M1, M2, M3, M4 with no re-entry). Returns true and writes
+  // *h on the fast path; returns false when the move needs EvalMoveSlow.
+  // `move` must be legal in the prepared state, whose blue mask is `blue`.
+  bool EvalMoveFast(const Ctx& ctx, const Word* blue, MoveType type,
+                    NodeId v, Weight* h) const {
+    if (ctx.dead) {
+      *h = kInfiniteCost;
+      return true;
+    }
+    const std::size_t wd = WordOf(v);
+    const Word bit = BasicGraphMasks<Word, kWords>::Bit(v);
+    switch (type) {
+      case MoveType::kLoad: {
+        // v was blue, so the walk never propagated through it: red-ing v
+        // removes exactly v from the need set.
+        Weight load = ctx.load;
+        if ((ctx.need[wd] & masks_.sources()[wd] & bit) != 0) {
+          load -= graph_.weight(v);
+        }
+        *h = ctx.store + load;
+        return true;
+      }
+      case MoveType::kStore: {
+        // v is red, so the closure lives entirely outside v: only the
+        // store term can move, and it discharges iff v is an unstored sink.
+        Weight store = ctx.store;
+        if (require_sinks_blue_ &&
+            (masks_.sinks()[wd] & ~blue[wd] & bit) != 0) {
+          store -= graph_.weight(v);
+        }
+        *h = store + ctx.load;
+        return true;
+      }
+      case MoveType::kCompute:
+        // h is INVARIANT under every legal M3. Legality makes every parent
+        // of v red, so no closure chain ever propagated THROUGH v — the
+        // walk masks propagation with ~red, and everything v could emit is
+        // red. Red-ing v therefore removes exactly {v} from the need set
+        // (and from the targets, if it was one), and v is a non-source, so
+        // neither the store nor the load term moves.
+        *h = ctx.store + ctx.load;
+        return true;
+      case MoveType::kDelete: {
+        // v re-enters the closure only as a target (required-red or
+        // unstored sink) or as a parent of a needed un-pebbled node; the
+        // walks are otherwise identical, so "no re-entry" ⇒ need invariant.
+        const Word unstored =
+            require_sinks_blue_ ? (masks_.sinks()[wd] & ~blue[wd]) : Word{0};
+        if (((required_red_[wd] | unstored) & bit) != 0) return false;
+        const Word* children = masks_.children_of(v);
+        for (std::size_t w = 0; w < words(); ++w) {
+          if ((children[w] & ctx.need[w] & ~blue[w]) != 0) return false;
+        }
+        *h = ctx.store + ctx.load;
+        return true;
+      }
+    }
+    return false;
+  }
 
   // Slow path: restricted re-walk for M3 (kept for direct callers and
   // differential tests — EvalMoveFast answers every legal M3 exactly, so
   // EvaluateMove never lands here for computes), seeded incremental
-  // extension for M4 (monotone closure growth through v).
-  Weight EvalMoveSlow(const PackedCtx& ctx, MoveType type, NodeId v) const;
-  Weight EvalMoveSlow(const WideCtx& ctx, const std::uint64_t* red,
-                      const std::uint64_t* blue, MoveType type, NodeId v,
-                      WideScratch& scratch) const;
+  // extension for M4 (monotone closure growth through v). `red`/`blue`
+  // are the prepared state's masks; the walk scratch lives in `ctx`.
+  Weight EvalMoveSlow(Ctx& ctx, const Word* red, const Word* blue,
+                      MoveType type, NodeId v) const;
 
   // Fast-else-slow composition; h of the successor of applying `move` to
   // the ctx state. Pinned ≡ fresh Evaluate of the successor in tests.
-  Weight EvaluateMove(const PackedCtx& ctx, MoveType type, NodeId v) const {
+  Weight EvaluateMove(Ctx& ctx, const Word* red, const Word* blue,
+                      MoveType type, NodeId v) const {
     Weight h = 0;
-    if (EvalMoveFast(ctx, type, v, &h)) return h;
-    return EvalMoveSlow(ctx, type, v);
-  }
-  Weight EvaluateMove(const WideCtx& ctx, const std::uint64_t* red,
-                      const std::uint64_t* blue, MoveType type, NodeId v,
-                      WideScratch& scratch) const {
-    Weight h = 0;
-    if (EvalMoveFast(ctx, red, blue, type, v, &h)) return h;
-    return EvalMoveSlow(ctx, red, blue, type, v, scratch);
+    if (EvalMoveFast(ctx, blue, type, v, &h)) return h;
+    return EvalMoveSlow(ctx, red, blue, type, v);
   }
 
   // Evaluate at the canonical start state (no red, sources blue): the
-  // budget-aware generalization of AlgorithmicLowerBound. Used by the
-  // analysis layer to tighten budget-scan bands and as the anytime
-  // engine's day-zero lower bound. The scratch overload reuses a
-  // caller-owned buffer on the wide path (speculative robust-chain
-  // stages call this repeatedly).
+  // budget-aware generalization of AlgorithmicLowerBound.
   Weight StartBound() const;
-  Weight StartBound(WideScratch& scratch) const;
-
-  // Words per color mask for the word-span overload: ceil(n / 64).
-  std::size_t WordsPerColor() const { return words_; }
 
  private:
-  // Shared word-span closure walk: fills `need` (words_ words, caller
-  // zeroed), accumulates the two terms, and returns false on a dead
-  // state. Both the wide Evaluate and the wide Prepare funnel through
-  // this so the full and incremental paths cannot drift.
-  bool WideWalk(const std::uint64_t* red, const std::uint64_t* blue,
-                std::uint64_t* need, WideScratch& scratch, Weight* store,
-                Weight* load) const;
+  static std::size_t WordOf(NodeId v) {
+    if constexpr (kWords == 1) {
+      (void)v;
+      return 0;
+    } else {
+      return v / kBits;
+    }
+  }
+  static NodeId NodeAt(std::size_t word, Word m);
 
   const Graph& graph_;
   Weight budget_;
   bool require_sinks_blue_;
-  std::size_t words_ = 1;
-
-  // Packed masks (graphs of <= 32 nodes; undefined above).
-  std::uint32_t required_red32_ = 0;
-  std::uint32_t sources_mask_ = 0;
-  std::uint32_t sinks_mask_ = 0;
-  // parents_mask_[v] / children_mask_[v]: bitmasks of H(v) and of the
-  // out-neighborhood (children gate the M4 delta test).
-  std::uint32_t parents_mask_[32] = {};
-  std::uint32_t children_mask_[32] = {};
-
-  // Word-span adjacency + legality masks (built only when build_wide, or
-  // unconditionally above 32 nodes). Shared layout with the simulator.
-  std::vector<std::uint64_t> wide_required_red_;
-  std::optional<GraphMasks> wide_masks_;
-
+  // Adjacency + legality masks, kWords words per node.
+  BasicGraphMasks<Word, kWords> masks_;
+  Mask required_red_;
   // Prop 2.3 footprint w_v + sum_{p in H(v)} w_p of each compute.
   std::vector<Weight> compute_footprint_;
 };
+
+// The search's widths (32, 64, 128, 256 bits per colour) and the runtime
+// form are compiled once, in state_bound.cc.
+extern template class StateBound<std::uint32_t, 1>;
+extern template class StateBound<std::uint64_t, 1>;
+extern template class StateBound<std::uint64_t, 2>;
+extern template class StateBound<std::uint64_t, 4>;
+extern template class StateBound<std::uint64_t, 0>;
+
+// StateBound::StartBound for the standard game (no required red, sinks
+// blue) on a graph of any size: the robust chain's budget-aware start
+// certificate.
+Weight StartStateBound(const Graph& graph, Weight budget);
 
 }  // namespace wrbpg

@@ -116,18 +116,12 @@ RobustResult RobustScheduler::Run(Weight budget,
   // (core/state_bound.h): StartBound sees budget-dependent deadness (a
   // needed compute whose Prop 2.3 footprint exceeds the budget) that the
   // ganalysis certificates cannot, so on tight budgets it can beat them.
-  // One chain-owned WideScratch backs every StartBound query this Run()
-  // makes — the speculative stages all read the folded `cert_lb`, so the
-  // closure buffers are allocated once here, never per stage (and never
-  // at all on the <= 32-node packed path, where build_wide is false).
-  // An infinite bound means no valid schedule exists at this budget; the
-  // stages will each discover that on their own, and folding infinity
-  // into a certificate the bb engine treats as finite would be wrong.
-  StateBound::WideScratch bound_scratch;
-  const StateBound start_bound(graph_, budget, /*required_red=*/0,
-                               /*require_sinks_blue=*/true,
-                               /*build_wide=*/false);
-  const Weight start_lb = start_bound.StartBound(bound_scratch);
+  // Evaluated once per Run(); the speculative stages all read the folded
+  // `cert_lb`. An infinite bound means no valid schedule exists at this
+  // budget; the stages will each discover that on their own, and folding
+  // infinity into a certificate the bb engine treats as finite would be
+  // wrong.
+  const Weight start_lb = StartStateBound(graph_, budget);
   if (start_lb < kInfiniteCost) cert_lb = std::max(cert_lb, start_lb);
 
   std::vector<Stage> stages;
@@ -224,7 +218,6 @@ RobustResult RobustScheduler::Run(Weight budget,
         bf.max_states = options.exact_max_states;
         bf.cancel = cancel;
         bf.threads = threads;
-        bf.force_wide_state = options.exact_force_wide_state;
         // Certified root bound: tightens the REPORTED gap of an
         // interrupted run; schedules stay bit-identical (brute_force.h).
         bf.root_lower_bound = cert_lb;

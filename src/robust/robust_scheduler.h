@@ -103,12 +103,6 @@ struct RobustOptions {
   // either mode. The inner brute-force search inherits this thread count.
   // 0 selects DefaultSearchThreads().
   std::size_t threads = 0;
-  // Testing hook mirrored from BruteForceOptions::force_wide_state: route
-  // the exact stage's <= 32-node searches through the wide interned-state
-  // representation. Results are bit-identical either way (the 3-axis
-  // determinism contract, DESIGN.md §11); service/cache differential
-  // tests use it to pin hits against cold solves across representations.
-  bool exact_force_wide_state = false;
 };
 
 struct RobustResult {

@@ -6,9 +6,13 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -24,21 +28,6 @@
 
 namespace wrbpg {
 namespace {
-
-using State = SearchState;  // packed config (n <= 32) or interned id
-
-constexpr std::uint32_t RedOf(State s) {
-  return static_cast<std::uint32_t>(s & 0xffffffffu);
-}
-constexpr std::uint32_t BlueOf(State s) {
-  return static_cast<std::uint32_t>(s >> 32);
-}
-constexpr State MakeState(std::uint32_t red, std::uint32_t blue) {
-  return static_cast<State>(red) | (static_cast<State>(blue) << 32);
-}
-
-// Wave key (search_frontier.h): f, then g, then schedule length.
-using Key = WaveKey;
 
 // How one search pass runs. The engines are compositions of these flags:
 // Dijkstra = {false, true}, A* = {true, true}, and the bb engine's cost
@@ -88,464 +77,97 @@ Termination ToTermination(PhaseStatus s) {
 constexpr std::uint32_t kCancelPollMoves = 2048;
 
 // ---------------------------------------------------------------------------
-// State-representation policies. The Searcher below is templated over one
-// of these; they own the game masks and answer every question the search
-// asks about a configuration. PackedOps is the n <= 32 fast path where
-// the SearchState IS the configuration (red | blue << 32) — bit-compatible
-// with the PR 3-5 engines. WideOps stores configurations as word arrays
-// in a StateInterner and hands the search stable ids, which is what lifts
-// the engines past the 32-node wall.
+// The configuration space: every question the search asks about a
+// (red, blue) configuration, written once over `Words()` mask words of
+// type `Word` per colour — a compile-time count for the inline storage
+// widths, the graph's own count for the interned one (Storage::kWords ==
+// 0). A configuration is 2 * Words() words, red first, blue second.
 //
-// The policy vocabulary: a Candidate is a successor/predecessor
-// configuration that may not have an id yet. The search evaluates the
-// heuristic and its pruning rules on the Candidate and only then
-// Commit()s it (packed: identity; wide: intern) — so pruned states never
-// cost interner memory. FindExisting() is Commit's read-only twin for the
-// reconstruction walk, which must not invent states.
+// The search loads the key it is about to expand into Scratch::parent
+// once; successors and predecessors are enumerated by toggling one bit of
+// a copy of it around each callback, so the callback sees a complete
+// candidate configuration that has no key yet. The search evaluates the
+// heuristic and its pruning rules first and only then Commit()s a
+// survivor through the storage policy — so pruned states never cost
+// storage. FindExisting() is Commit's read-only twin for the
+// reconstruction walk.
 // ---------------------------------------------------------------------------
-
-class PackedOps {
+template <typename Storage>
+class ConfigSpace {
  public:
-  using Candidate = State;
+  using Word = typename Storage::Word;
+  static constexpr std::size_t kWords = Storage::kWords;
+  static constexpr std::size_t kBits = BasicGraphMasks<Word, kWords>::kBits;
+  using Key = typename Storage::Key;
+  using Bound = StateBound<Word, kWords>;
+  using Config = MaskWords<Word, 2 * kWords>;
+
   struct Scratch {
-    StateBound::PackedCtx ctx;  // the expanded state's closure (§14)
+    Config parent{};  // the loaded state (never toggled)
+    Config cand{};    // runtime width: the enumerations' toggled copy
+    typename Bound::Ctx ctx{};  // the parent's closure (§14)
   };
 
-  PackedOps(const Graph& graph, Weight budget,
-            const BruteForceOptions& options)
-      : graph_(graph),
-        budget_(budget),
-        require_sinks_blue_(options.require_sinks_blue) {
-    const NodeId n = graph.num_nodes();
-    // Word 0 of the shared move-legality masks IS the packed mask set
-    // (simulator and StateBound build theirs from the same GraphMasks).
-    const GraphMasks masks(graph);
-    sources_mask_ = static_cast<std::uint32_t>(masks.sources()[0]);
-    sinks_mask_ = static_cast<std::uint32_t>(masks.sinks()[0]);
-    node_mask_ = static_cast<std::uint32_t>(masks.nodes()[0]);
-    parents_mask_.assign(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      parents_mask_[v] = static_cast<std::uint32_t>(masks.parents_of(v)[0]);
-    }
-    initial_red_ = static_cast<std::uint32_t>(options.initial_red);
-    initial_blue_ = static_cast<std::uint32_t>(
-        options.initial_blue.value_or(sources_mask_));
-    required_red_ = static_cast<std::uint32_t>(options.required_red_at_end);
-    if (options.engine != SearchEngine::kDijkstra) {
-      bound_.emplace(graph, budget, options.required_red_at_end,
-                     options.require_sinks_blue, /*build_wide=*/false);
-    }
-  }
-
-  State Start() { return MakeState(initial_red_, initial_blue_); }
-  Weight InitialRedWeight() const { return RedWeight(initial_red_); }
-
-  bool IsGoal(State s) const {
-    if ((RedOf(s) & required_red_) != required_red_) return false;
-    if (require_sinks_blue_ && (BlueOf(s) & sinks_mask_) != sinks_mask_) {
-      return false;
-    }
-    return true;
-  }
-  bool IsGoalCandidate(const Candidate& c) const { return IsGoal(c); }
-
-  Weight HeuristicState(State s, Scratch&) const {
-    return bound_->Evaluate(RedOf(s), BlueOf(s));
-  }
-
-  // One closure walk for the state about to be expanded; HeuristicMove
-  // below prices every successor off this context.
-  void PrepareExpand(State s, Scratch& scratch) const {
-    bound_->Prepare(RedOf(s), BlueOf(s), scratch.ctx);
-  }
-
-  // h of the successor `c` reached from the prepared state via `move`:
-  // exact incremental delta when the move provably leaves the closure
-  // alone, else a fresh masked walk. The packed path deliberately does
-  // NOT consult the sharded bound cache: a ≤32-node closure walk runs in
-  // tens of nanoseconds, cheaper than the lock+probe a shared table
-  // charges (measured ~1.4x slower end-to-end with the cache on the
-  // engine-compare dwt rows). The cache earns its keep on the wide path,
-  // where a slow evaluation also pays interning and per-word walks.
-  Weight HeuristicMove(const Candidate& c, Move move, Scratch& scratch,
-                       SearchStats& stats) {
-    Weight h = 0;
-    if (bound_->EvalMoveFast(scratch.ctx, move.type, move.node, &h)) return h;
-    (void)c;
-    ++stats.bound_cache_misses;  // priced by a fresh walk (no packed cache)
-    return bound_->EvalMoveSlow(scratch.ctx, move.type, move.node);
-  }
-
-  bool Commit(const Candidate& c, Scratch&, SearchStats&, State* id) {
-    *id = c;
-    return true;
-  }
-  bool FindExisting(const Candidate& c, State* id) const {
-    *id = c;
-    return true;
-  }
-
-  // Calls fn(candidate, move_cost, move) for every legal move out of `s`,
-  // in canonical move order (M1 < M2 < M3 < M4, node ascending); fn
-  // returns true to stop early. The reconstruction walk takes the first
-  // tight on-path edge this enumeration offers, which is what makes the
-  // returned sequence the lexicographically-least one. Each move class
-  // iterates only the set bits of its legality mask (ctz ascends node
-  // ids, preserving the canonical order).
-  template <typename Fn>
-  void ForEachSuccessor(State s, Scratch&, Fn&& fn) const {
-    const std::uint32_t red = RedOf(s);
-    const std::uint32_t blue = BlueOf(s);
-    const Weight rw = RedWeight(red);
-    for (std::uint32_t m = blue & ~red; m != 0; m &= m - 1) {  // M1
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      const Weight w = graph_.weight(v);
-      if (rw + w <= budget_ &&
-          fn(MakeState(red | (1u << v), blue), w, Load(v))) {
-        return;
-      }
-    }
-    for (std::uint32_t m = red & ~blue; m != 0; m &= m - 1) {  // M2
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      if (fn(MakeState(red, blue | (1u << v)), graph_.weight(v), Store(v))) {
-        return;
-      }
-    }
-    // M3: un-red non-sources whose parents are all red, within budget.
-    for (std::uint32_t m = node_mask_ & ~red & ~sources_mask_; m != 0;
-         m &= m - 1) {
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      if ((red & parents_mask_[v]) == parents_mask_[v] &&
-          rw + graph_.weight(v) <= budget_ &&
-          fn(MakeState(red | (1u << v), blue), 0, Compute(v))) {
-        return;
-      }
-    }
-    for (std::uint32_t m = red; m != 0; m &= m - 1) {  // M4
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      if (fn(MakeState(red & ~(1u << v), blue), 0, Delete(v))) {
-        return;
-      }
-    }
-  }
-
-  // Calls fn(candidate, move_cost) for every configuration one legal move
-  // BEFORE `s` (the reconstruction walk's backward edges). Enumeration
-  // order is irrelevant here — the walk only marks.
-  template <typename Fn>
-  void ForEachPredecessor(State s, Scratch&, Fn&& fn) const {
-    const std::uint32_t red = RedOf(s);
-    const std::uint32_t blue = BlueOf(s);
-    // Undo M1: predecessor lacked red v, blue v present throughout.
-    for (std::uint32_t m = red & blue; m != 0; m &= m - 1) {
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      fn(MakeState(red & ~(1u << v), blue), graph_.weight(v));
-    }
-    // Undo M3: predecessor lacked red v and held all parents red.
-    for (std::uint32_t m = red & ~sources_mask_; m != 0; m &= m - 1) {
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      const std::uint32_t bit = 1u << v;
-      if (((red & ~bit) & parents_mask_[v]) == parents_mask_[v]) {
-        fn(MakeState(red & ~bit, blue), 0);
-      }
-    }
-    // Undo M2: predecessor lacked blue v, red v present throughout.
-    for (std::uint32_t m = red & blue; m != 0; m &= m - 1) {
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      fn(MakeState(red, blue & ~(1u << v)), graph_.weight(v));
-    }
-    // Undo M4: predecessor held red v.
-    for (std::uint32_t m = node_mask_ & ~red; m != 0; m &= m - 1) {
-      const NodeId v = static_cast<NodeId>(std::countr_zero(m));
-      fn(MakeState(red | (1u << v), blue), 0);
-    }
-  }
-
-  // States live inline in the dist map and the per-worker bound-cache
-  // slices are fixed 64 KiB arrays — nothing here scales with the search.
-  std::size_t MemoryBytes() const { return 0; }
-
- private:
-  Weight RedWeight(std::uint32_t red) const {
-    Weight w = 0;
-    while (red != 0) {
-      const int v = std::countr_zero(red);
-      w += graph_.weight(static_cast<NodeId>(v));
-      red &= red - 1;
-    }
-    return w;
-  }
-
-  const Graph& graph_;
-  const Weight budget_;
-  bool require_sinks_blue_;
-  std::uint32_t sources_mask_ = 0;
-  std::uint32_t sinks_mask_ = 0;
-  std::uint32_t node_mask_ = 0;
-  std::vector<std::uint32_t> parents_mask_;
-  std::uint32_t initial_red_ = 0;
-  std::uint32_t initial_blue_ = 0;
-  std::uint32_t required_red_ = 0;
-  std::optional<StateBound> bound_;
-};
-
-// Word-array states for graphs past the packed fast path. A configuration
-// is 2*W words (red words, then blue words, W = ceil(n/64)); successors
-// are built by toggling one bit in a per-worker scratch buffer, evaluated
-// in place, and interned only if the search keeps them. The initial
-// red/blue/required-red option masks are uint64, so custom pebble
-// placements address nodes 0..63; the defaults (no red, sources blue,
-// sinks-blue goal) are width-independent.
-class WideOps {
- public:
-  struct Candidate {
-    const std::uint64_t* config;  // 2*W words: red, then blue
-  };
-  struct Scratch {
-    std::vector<std::uint64_t> config;
-    StateBound::WideScratch bound;
-    StateBound::WideCtx ctx;  // the expanded state's closure (§14)
-    const std::uint64_t* base = nullptr;  // interner words of that state
-    StateInterner::LocalCache intern_cache;
-  };
-
-  WideOps(const Graph& graph, Weight budget, const BruteForceOptions& options)
+  ConfigSpace(const Graph& graph, Weight budget,
+              const BruteForceOptions& options)
       : graph_(graph),
         budget_(budget),
         require_sinks_blue_(options.require_sinks_blue),
-        words_(WordsFor(graph.num_nodes())),
         masks_(graph),
-        interner_(2 * WordsFor(graph.num_nodes())) {
+        storage_(2 * masks_.words()),
+        start_(ZeroMask<Word, 2 * kWords>(2 * masks_.words())),
+        required_red_(ZeroMask<Word, kWords>(masks_.words())),
+        bound_(graph, budget, options.required_red_at_end,
+               options.require_sinks_blue) {
     const NodeId n = graph.num_nodes();
-    required_red_.assign(words_, 0);
-    initial_red_.assign(words_, 0);
-    initial_blue_.assign(words_, 0);
+    const std::size_t W = Words();
+    Word* red = start_.data();
+    Word* blue = red + W;
+    std::copy(masks_.sources(), masks_.sources() + W, blue);
+    if (options.initial_blue.has_value()) std::fill(blue, blue + W, Word{0});
+    // The option masks are uint64, so custom pebble placements address
+    // nodes 0..63; the defaults (no red, sources blue, sinks-blue goal)
+    // are width-independent.
     for (NodeId v = 0; v < 64 && v < n; ++v) {
-      if ((options.initial_red >> v) & 1) SetBit(initial_red_.data(), v);
+      const Word bit = BasicGraphMasks<Word, kWords>::Bit(v);
+      if ((options.initial_red >> v) & 1) red[v / kBits] |= bit;
+      if (options.initial_blue.has_value() &&
+          ((*options.initial_blue >> v) & 1) != 0) {
+        blue[v / kBits] |= bit;
+      }
       if ((options.required_red_at_end >> v) & 1) {
-        SetBit(required_red_.data(), v);
+        required_red_[v / kBits] |= bit;
       }
-    }
-    if (options.initial_blue.has_value()) {
-      for (NodeId v = 0; v < 64 && v < n; ++v) {
-        if ((*options.initial_blue >> v) & 1) SetBit(initial_blue_.data(), v);
-      }
-    } else {
-      initial_blue_.assign(masks_.sources(), masks_.sources() + words_);
-    }
-    if (options.engine != SearchEngine::kDijkstra) {
-      bound_.emplace(graph, budget, options.required_red_at_end,
-                     options.require_sinks_blue);
     }
   }
 
-  State Start() {
-    std::vector<std::uint64_t> config(2 * words_);
-    std::copy(initial_red_.begin(), initial_red_.end(), config.begin());
-    std::copy(initial_blue_.begin(), initial_blue_.end(),
-              config.begin() + static_cast<std::ptrdiff_t>(words_));
-    State id = 0;
-    const bool ok = interner_.Intern(config.data(), &id);
-    assert(ok);
+  Scratch MakeScratch() const {
+    Scratch scratch;
+    if constexpr (kWords == 0) {
+      scratch.parent.assign(2 * Words(), 0);
+      scratch.cand.assign(2 * Words(), 0);
+    }
+    scratch.ctx = bound_.MakeCtx();
+    return scratch;
+  }
+
+  Key Start() {
+    Key key{};
+    const bool ok = storage_.Store(start_.data(), &key);
+    assert(ok);  // an empty store always has room
     (void)ok;
-    return id;
+    return key;
   }
-  Weight InitialRedWeight() const { return RedWeight(initial_red_.data()); }
+  Weight InitialRedWeight() const { return RedWeight(start_.data()); }
 
-  bool IsGoal(State s) const { return IsGoalWords(interner_.Words(s)); }
-  bool IsGoalCandidate(const Candidate& c) const {
-    return IsGoalWords(c.config);
-  }
-
-  Weight HeuristicState(State s, Scratch& scratch) const {
-    const std::uint64_t* w = interner_.Words(s);
-    return bound_->Evaluate(w, w + words_, scratch.bound);
+  void LoadKey(const Key& key, Scratch& scratch) const {
+    storage_.Load(key, scratch.parent.data());
   }
 
-  // One closure walk for the state about to be expanded. The interner
-  // words are stable, so `base` stays valid for the whole expansion.
-  void PrepareExpand(State s, Scratch& scratch) const {
-    scratch.base = interner_.Words(s);
-    bound_->Prepare(scratch.base, scratch.base + words_, scratch.ctx,
-                    scratch.bound);
-  }
-
-  // h of the successor `c` via `move`, off the prepared context. Slow
-  // paths intern the candidate first so the bound cache can key on the
-  // stable id (Commit below re-finds it for free through the same local
-  // cache); if the interner is exhausted, price the candidate uncached —
-  // the subsequent Commit of any surviving candidate reports the memory
-  // cap through the existing abort path.
-  Weight HeuristicMove(const Candidate& c, Move move, Scratch& scratch,
-                       SearchStats& stats) {
-    Weight h = 0;
-    if (bound_->EvalMoveFast(scratch.ctx, scratch.base, scratch.base + words_,
-                             move.type, move.node, &h)) {
-      return h;
-    }
-    State id = 0;
-    if (!interner_.InternCached(c.config, scratch.intern_cache, &id,
-                                &stats.intern_cache_hits,
-                                &stats.intern_cache_misses)) {
-      return bound_->EvalMoveSlow(scratch.ctx, scratch.base,
-                                  scratch.base + words_, move.type, move.node,
-                                  scratch.bound);
-    }
-    if (bound_cache_.Find(id, &h)) {
-      ++stats.bound_cache_hits;
-      return h;
-    }
-    ++stats.bound_cache_misses;
-    h = bound_->EvalMoveSlow(scratch.ctx, scratch.base, scratch.base + words_,
-                             move.type, move.node, scratch.bound);
-    bound_cache_.Insert(id, h);
-    return h;
-  }
-
-  bool Commit(const Candidate& c, Scratch& scratch, SearchStats& stats,
-              State* id) {
-    return interner_.InternCached(c.config, scratch.intern_cache, id,
-                                  &stats.intern_cache_hits,
-                                  &stats.intern_cache_misses);
-  }
-  bool FindExisting(const Candidate& c, State* id) const {
-    return interner_.Find(c.config, id);
-  }
-
-  // Successor enumeration, bit-toggled in scratch around each callback so
-  // one 2*W-word copy per state (not per move) suffices. Candidate
-  // pointers are only valid for the duration of the callback. Move order
-  // matches PackedOps exactly — the lex-least reconstruction and the
-  // packed/wide bit-identity both hang on it. Each move class walks the
-  // set bits of its word-parallel legality mask; the per-word candidate
-  // mask is snapshotted before the word's bits toggle, so the in-place
-  // edits around each callback never perturb the iteration.
-  template <typename Fn>
-  void ForEachSuccessor(State s, Scratch& scratch, Fn&& fn) const {
-    const std::uint64_t* base = interner_.Words(s);
-    const std::size_t W = words_;
-    scratch.config.assign(base, base + 2 * W);
-    std::uint64_t* red = scratch.config.data();
-    std::uint64_t* blue = red + W;
-    const Weight rw = RedWeight(base);
-    const Candidate c{scratch.config.data()};
-    for (std::size_t w = 0; w < W; ++w) {  // M1: loadable = blue & ~red
-      for (std::uint64_t m = blue[w] & ~red[w]; m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        const Weight wt = graph_.weight(v);
-        if (rw + wt > budget_) continue;
-        red[w] ^= m & -m;
-        const bool stop = fn(c, wt, Load(v));
-        red[w] ^= m & -m;
-        if (stop) return;
-      }
-    }
-    for (std::size_t w = 0; w < W; ++w) {  // M2: storable = red & ~blue
-      for (std::uint64_t m = red[w] & ~blue[w]; m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        blue[w] ^= m & -m;
-        const bool stop = fn(c, graph_.weight(v), Store(v));
-        blue[w] ^= m & -m;
-        if (stop) return;
-      }
-    }
-    for (std::size_t w = 0; w < W; ++w) {  // M3: un-red non-sources
-      for (std::uint64_t m = masks_.nodes()[w] & ~red[w] & ~masks_.sources()[w];
-           m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        if (!masks_.ParentsSubsetOf(v, red) ||
-            rw + graph_.weight(v) > budget_) {
-          continue;
-        }
-        red[w] ^= m & -m;
-        const bool stop = fn(c, 0, Compute(v));
-        red[w] ^= m & -m;
-        if (stop) return;
-      }
-    }
-    for (std::size_t w = 0; w < W; ++w) {  // M4: deletable = red
-      for (std::uint64_t m = red[w]; m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        red[w] ^= m & -m;
-        const bool stop = fn(c, 0, Delete(v));
-        red[w] ^= m & -m;
-        if (stop) return;
-      }
-    }
-  }
-
-  template <typename Fn>
-  void ForEachPredecessor(State s, Scratch& scratch, Fn&& fn) const {
-    const std::uint64_t* base = interner_.Words(s);
-    const std::size_t W = words_;
-    scratch.config.assign(base, base + 2 * W);
-    std::uint64_t* red = scratch.config.data();
-    std::uint64_t* blue = red + W;
-    const Candidate c{scratch.config.data()};
-    // Undo M1: predecessor lacked red v, blue v present throughout.
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::uint64_t m = red[w] & blue[w]; m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        red[w] ^= m & -m;
-        fn(c, graph_.weight(v));
-        red[w] ^= m & -m;
-      }
-    }
-    // Undo M3: predecessor lacked red v and held all parents red.
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::uint64_t m = red[w] & ~masks_.sources()[w]; m != 0;
-           m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        red[w] ^= m & -m;
-        if (masks_.ParentsSubsetOf(v, red)) fn(c, 0);
-        red[w] ^= m & -m;
-      }
-    }
-    // Undo M2: predecessor lacked blue v, red v present throughout.
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::uint64_t m = red[w] & blue[w]; m != 0; m &= m - 1) {
-        const NodeId v = NodeAt(w, m);
-        blue[w] ^= m & -m;
-        fn(c, graph_.weight(v));
-        blue[w] ^= m & -m;
-      }
-    }
-    // Undo M4: predecessor held red v.
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::uint64_t m = masks_.nodes()[w] & ~red[w]; m != 0;
-           m &= m - 1) {
-        red[w] ^= m & -m;
-        fn(c, 0);
-        red[w] ^= m & -m;
-      }
-    }
-  }
-
-  std::size_t MemoryBytes() const {
-    return interner_.MemoryBytes() + bound_cache_.MemoryBytes();
-  }
-
- private:
-  static std::size_t WordsFor(NodeId n) {
-    return std::max<std::size_t>(1, (static_cast<std::size_t>(n) + 63) / 64);
-  }
-  static bool TestBit(const std::uint64_t* w, NodeId v) {
-    return (w[v >> 6] >> (v & 63)) & 1;
-  }
-  static void SetBit(std::uint64_t* w, NodeId v) {
-    w[v >> 6] |= 1ull << (v & 63);
-  }
-  static void ClearBit(std::uint64_t* w, NodeId v) {
-    w[v >> 6] &= ~(1ull << (v & 63));
-  }
-  static NodeId NodeAt(std::size_t word, std::uint64_t m) {
-    return static_cast<NodeId>(
-        word * 64 + static_cast<std::size_t>(std::countr_zero(m)));
-  }
-  bool IsGoalWords(const std::uint64_t* config) const {
-    const std::uint64_t* red = config;
-    const std::uint64_t* blue = config + words_;
-    for (std::size_t w = 0; w < words_; ++w) {
+  bool IsGoal(const Word* config) const {
+    const Word* red = config;
+    const Word* blue = config + Words();
+    for (std::size_t w = 0; w < Words(); ++w) {
       if ((required_red_[w] & ~red[w]) != 0) return false;
       if (require_sinks_blue_ && (masks_.sinks()[w] & ~blue[w]) != 0) {
         return false;
@@ -553,12 +175,178 @@ class WideOps {
     }
     return true;
   }
-  Weight RedWeight(const std::uint64_t* red) const {
+  bool IsGoalKey(const Key& key, Scratch& scratch) const {
+    LoadKey(key, scratch);
+    return IsGoal(scratch.parent.data());
+  }
+
+  Weight HeuristicState(const Key& key, Scratch& scratch) const {
+    LoadKey(key, scratch);
+    const Word* config = scratch.parent.data();
+    return bound_.Evaluate(config, config + Words(), scratch.ctx);
+  }
+
+  // One closure walk for the loaded state; HeuristicMove below prices
+  // every successor off this context.
+  void PrepareExpand(Scratch& scratch) const {
+    const Word* config = scratch.parent.data();
+    bound_.Prepare(config, config + Words(), scratch.ctx);
+  }
+
+  // h of the successor reached from the prepared state via `move`: exact
+  // incremental delta when the move provably leaves the closure alone,
+  // else a seeded re-walk.
+  Weight HeuristicMove(Move move, Scratch& scratch) const {
+    const Word* red = scratch.parent.data();
+    const Word* blue = red + Words();
+    Weight h = 0;
+    if (bound_.EvalMoveFast(scratch.ctx, blue, move.type, move.node, &h)) {
+      return h;
+    }
+    return bound_.EvalMoveSlow(scratch.ctx, red, blue, move.type, move.node);
+  }
+
+  bool Commit(const Word* config, Key* key) {
+    return storage_.Store(config, key);
+  }
+  bool FindExisting(const Word* config, Key* key) const {
+    return storage_.Find(config, key);
+  }
+
+  // Calls fn(candidate, move_cost, move) for every legal move out of the
+  // loaded state, in canonical move order (M1 < M2 < M3 < M4, node
+  // ascending); fn returns true to stop early. The reconstruction walk
+  // takes the first tight on-path edge this enumeration offers, which is
+  // what makes the returned sequence the lexicographically-least one.
+  // Each move class walks the set bits of its word-parallel legality mask
+  // (ctz ascends node ids); the per-word mask is snapshotted before the
+  // word's bits toggle, so the edits around each callback never perturb
+  // the iteration. The candidate is only valid during the callback.
+  template <typename Fn>
+  void ForEachSuccessor(Scratch& scratch, Fn&& fn) const {
+    const std::size_t W = Words();
+    Config local;
+    Word* red = CandidateBuffer(scratch, local);
+    Word* blue = red + W;
+    const Word* c = red;
+    const Weight rw = RedWeight(red);
+    for (std::size_t w = 0; w < W; ++w) {  // M1: loadable = blue & ~red
+      for (Word m = blue[w] & ~red[w]; m != 0; m &= m - 1) {
+        const NodeId v = NodeAt(w, m);
+        const Weight wt = graph_.weight(v);
+        if (rw + wt > budget_) continue;
+        red[w] ^= LowBit(m);
+        const bool stop = fn(c, wt, Load(v));
+        red[w] ^= LowBit(m);
+        if (stop) return;
+      }
+    }
+    for (std::size_t w = 0; w < W; ++w) {  // M2: storable = red & ~blue
+      for (Word m = red[w] & ~blue[w]; m != 0; m &= m - 1) {
+        const NodeId v = NodeAt(w, m);
+        blue[w] ^= LowBit(m);
+        const bool stop = fn(c, graph_.weight(v), Store(v));
+        blue[w] ^= LowBit(m);
+        if (stop) return;
+      }
+    }
+    // M3: un-red non-sources whose parents are all red, within budget.
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word m = masks_.nodes()[w] & ~red[w] & ~masks_.sources()[w];
+           m != 0; m &= m - 1) {
+        const NodeId v = NodeAt(w, m);
+        if (!masks_.ParentsSubsetOf(v, red) ||
+            rw + graph_.weight(v) > budget_) {
+          continue;
+        }
+        red[w] ^= LowBit(m);
+        const bool stop = fn(c, 0, Compute(v));
+        red[w] ^= LowBit(m);
+        if (stop) return;
+      }
+    }
+    for (std::size_t w = 0; w < W; ++w) {  // M4: deletable = red
+      for (Word m = red[w]; m != 0; m &= m - 1) {
+        const NodeId v = NodeAt(w, m);
+        red[w] ^= LowBit(m);
+        const bool stop = fn(c, 0, Delete(v));
+        red[w] ^= LowBit(m);
+        if (stop) return;
+      }
+    }
+  }
+
+  // Calls fn(candidate, move_cost) for every configuration one legal move
+  // BEFORE the loaded state (the reconstruction walk's backward edges).
+  // Enumeration order is irrelevant here — the walk only marks.
+  template <typename Fn>
+  void ForEachPredecessor(Scratch& scratch, Fn&& fn) const {
+    const std::size_t W = Words();
+    Config local;
+    Word* red = CandidateBuffer(scratch, local);
+    Word* blue = red + W;
+    const Word* c = red;
+    // Undo M1: predecessor lacked red v, blue v present throughout.
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word m = red[w] & blue[w]; m != 0; m &= m - 1) {
+        red[w] ^= LowBit(m);
+        fn(c, graph_.weight(NodeAt(w, m)));
+        red[w] ^= LowBit(m);
+      }
+    }
+    // Undo M3: predecessor lacked red v and held all parents red.
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word m = red[w] & ~masks_.sources()[w]; m != 0; m &= m - 1) {
+        red[w] ^= LowBit(m);
+        if (masks_.ParentsSubsetOf(NodeAt(w, m), red)) fn(c, 0);
+        red[w] ^= LowBit(m);
+      }
+    }
+    // Undo M2: predecessor lacked blue v, red v present throughout.
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word m = red[w] & blue[w]; m != 0; m &= m - 1) {
+        blue[w] ^= LowBit(m);
+        fn(c, graph_.weight(NodeAt(w, m)));
+        blue[w] ^= LowBit(m);
+      }
+    }
+    // Undo M4: predecessor held red v.
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word m = masks_.nodes()[w] & ~red[w]; m != 0; m &= m - 1) {
+        red[w] ^= LowBit(m);
+        fn(c, 0);
+        red[w] ^= LowBit(m);
+      }
+    }
+  }
+
+  std::size_t MemoryBytes() const { return storage_.MemoryBytes(); }
+
+ private:
+  std::size_t Words() const { return masks_.words(); }
+  // A copy of the loaded state for the enumerations to toggle: `local`
+  // on the stack at fixed widths (so it can live in registers), the
+  // scratch's preallocated buffer at runtime width.
+  static Word* CandidateBuffer(Scratch& scratch, Config& local) {
+    if constexpr (kWords == 0) {
+      std::copy(scratch.parent.begin(), scratch.parent.end(),
+                scratch.cand.begin());
+      return scratch.cand.data();
+    } else {
+      local = scratch.parent;
+      return local.data();
+    }
+  }
+  static Word LowBit(Word m) { return static_cast<Word>(m & (~m + 1)); }
+  static NodeId NodeAt(std::size_t word, Word m) {
+    return static_cast<NodeId>(word * kBits +
+                               static_cast<std::size_t>(std::countr_zero(m)));
+  }
+  Weight RedWeight(const Word* red) const {
     Weight total = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (std::uint64_t m = red[w]; m != 0; m &= m - 1) {
-        total += graph_.weight(static_cast<NodeId>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(m))));
+    for (std::size_t w = 0; w < Words(); ++w) {
+      for (Word m = red[w]; m != 0; m &= m - 1) {
+        total += graph_.weight(NodeAt(w, m));
       }
     }
     return total;
@@ -567,14 +355,11 @@ class WideOps {
   const Graph& graph_;
   const Weight budget_;
   bool require_sinks_blue_;
-  std::size_t words_;
-  GraphMasks masks_;
-  StateInterner interner_;
-  std::vector<std::uint64_t> required_red_;
-  std::vector<std::uint64_t> initial_red_;
-  std::vector<std::uint64_t> initial_blue_;
-  std::optional<StateBound> bound_;
-  BoundCache bound_cache_;
+  BasicGraphMasks<Word, kWords> masks_;
+  Storage storage_;
+  Config start_;
+  MaskWords<Word, kWords> required_red_;
+  Bound bound_;  // read only by the informed engines
 };
 
 // The bb engine's seed: a valid schedule from the polynomial heuristics,
@@ -607,7 +392,8 @@ std::optional<Incumbent> SeedIncumbent(const Graph& graph, Weight budget,
 }
 
 // One exact search: level-synchronous best-first waves over (f, g, len)
-// keys plus canonical reconstruction, templated over the state policy.
+// keys plus canonical reconstruction, templated over the storage policy
+// (which fixes the key type and the mask width).
 // Waves settle in ascending key order; because the state_bound heuristic
 // is admissible but not consistent, a settled state whose g later
 // improves is simply re-queued at its better key and re-expanded
@@ -619,17 +405,21 @@ std::optional<Incumbent> SeedIncumbent(const Graph& graph, Weight budget,
 // Anytime soundness: when a phase aborts, every undiscovered solution
 // still has to leave the settled set through an open state — one whose
 // best-known g was recorded but that was never expanded at it. Such a
-// state sits either in the pending map or in the current (partially
-// expanded) wave, and along an optimal path its f = g + h is at most the
-// optimal cost (h admissible; incumbent pruning only drops f strictly
-// above a valid schedule's cost). min(current wave f, pending min f) is
-// therefore a sound lower bound on the optimum at the moment of abort.
-template <typename Ops>
+// state sits in the pending map, in the current (partially expanded)
+// wave, or among the updates that wave recorded, and along an optimal
+// path its f = g + h is at most the optimal cost (h admissible; incumbent
+// pruning only drops f strictly above a valid schedule's cost). The least
+// f over those three is therefore a sound lower bound on the optimum at
+// the moment of abort.
+template <typename Storage>
 class Searcher {
  public:
   Searcher(const Graph& graph, Weight budget,
            const BruteForceOptions& options)
-      : budget_(budget), options_(options), ops_(graph, budget, options) {
+      : budget_(budget),
+        options_(options),
+        ops_(graph, budget, options),
+        main_scratch_(ops_.MakeScratch()) {
     start_ = ops_.Start();
     if (options.prune_root_loads != nullptr &&
         !options.prune_root_loads->empty()) {
@@ -643,7 +433,10 @@ class Searcher {
   ScheduleResult Run(bool want_schedule, const Incumbent* incumbent);
 
  private:
-  using Scratch = typename Ops::Scratch;
+  using Space = ConfigSpace<Storage>;
+  using Key = typename Space::Key;
+  using Word = typename Space::Word;
+  using Scratch = typename Space::Scratch;
 
   PhaseStatus RunPhase(const PhaseConfig& cfg);
 
@@ -659,20 +452,20 @@ class Searcher {
   struct RelaxMemo {
     static constexpr std::size_t kSlots = 8192;  // power of two
     struct Slot {
-      SearchState state = 0;
+      Key state{};
       Weight g = 0;
       std::uint32_t len = 0;
       bool used = false;
     };
     std::vector<Slot> slots;
 
-    static std::size_t Index(SearchState s) {
-      return static_cast<std::size_t>((s * 0x9e3779b97f4a7c15ull) >> 13) &
+    static std::size_t Index(const Key& s) {
+      return static_cast<std::size_t>(KeyMix(s) >> 13) &
              (kSlots - 1);
     }
     // True when offering (g, len) for `s` provably cannot improve the
     // map. Otherwise records the offer — the caller MUST then make it.
-    bool NonImproving(SearchState s, Weight g, std::uint32_t len) {
+    bool NonImproving(const Key& s, Weight g, std::uint32_t len) {
       if (slots.empty()) slots.resize(kSlots);
       Slot& slot = slots[Index(s)];
       if (slot.used && slot.state == s &&
@@ -688,9 +481,10 @@ class Searcher {
     void Clear() { slots.clear(); }
   };
 
-  void ExpandRange(const std::vector<State>& frontier, std::size_t lo,
-                   std::size_t hi, Key level, const PhaseConfig& cfg,
-                   UpdateBuffer& out, SearchStats& stats, Scratch& scratch,
+  void ExpandRange(const std::vector<Key>& frontier, std::size_t lo,
+                   std::size_t hi, WaveKey level, const PhaseConfig& cfg,
+                   UpdateBuffer<Key>& out, SearchStats& stats,
+                   Scratch& scratch,
                    RelaxMemo& memo);
   Schedule Reconstruct();
 
@@ -698,9 +492,9 @@ class Searcher {
   // updates overwhelmingly share a key (a state's successors cluster in
   // f), so one memoized (key -> level) slot turns most of the per-update
   // map lookups into a single comparison.
-  void MergeUpdates(const UpdateBuffer& u) {
+  void MergeUpdates(const UpdateBuffer<Key>& u) {
     const WaveKey* memo_key = nullptr;
-    std::vector<State>* memo_level = nullptr;
+    std::vector<Key>* memo_level = nullptr;
     for (std::size_t i = 0; i < u.size(); ++i) {
       const WaveKey& key = u.key(i);
       if (memo_key == nullptr || !(*memo_key == key)) {
@@ -723,9 +517,10 @@ class Searcher {
     return PhaseStatus::kCancelled;
   }
 
-  // Sound lower bound on the optimum at an abort inside `level`'s wave:
-  // see the class comment. Also records it for the result assembly.
-  PhaseStatus Abort(PhaseStatus status, const Key& level) {
+  // Lower bound from the wave and the pending map at an abort inside
+  // `level`'s wave (RunPhase folds in the wave's recorded updates): see
+  // the class comment. Records it for the result assembly.
+  PhaseStatus Abort(PhaseStatus status, const WaveKey& level) {
     abort_lb_ = level.f;
     if (!pending_.empty()) {
       abort_lb_ = std::min(abort_lb_, pending_.begin()->first.f);
@@ -740,9 +535,9 @@ class Searcher {
   std::size_t FrontierBytes() const {
     std::size_t bytes = dist_.MemoryBytes() + ops_.MemoryBytes();
     for (const auto& [key, level] : pending_) {
-      bytes += level.capacity() * sizeof(State);
+      bytes += level.capacity() * sizeof(Key);
     }
-    for (const UpdateBuffer& u : chunk_updates_) {
+    for (const UpdateBuffer<Key>& u : chunk_updates_) {
       bytes += u.MemoryBytes();
     }
     return bytes;
@@ -777,14 +572,14 @@ class Searcher {
 
   const Weight budget_;
   const BruteForceOptions& options_;
-  Ops ops_;
-  State start_ = 0;
+  Space ops_;
+  Key start_{};
   Scratch main_scratch_;  // start heuristic + single-threaded reconstruction
 
-  FlatDistMap dist_;
-  std::map<Key, std::vector<State>> pending_;
-  LevelPool level_pool_;
-  std::vector<UpdateBuffer> chunk_updates_;
+  FlatDistMap<Key> dist_;
+  std::map<WaveKey, std::vector<Key>> pending_;
+  LevelPool<Key> level_pool_;
+  std::vector<UpdateBuffer<Key>> chunk_updates_;
   std::vector<Scratch> chunk_scratch_;
   std::vector<RelaxMemo> chunk_memo_;
   std::size_t threads_ = 1;  // requested; fixes the cutoff and chunking
@@ -808,18 +603,19 @@ class Searcher {
   // Root M1 loads suppressed by orbit pruning (empty = none); see
   // BruteForceOptions::prune_root_loads for the soundness contract.
   std::vector<unsigned char> pruned_root_load_;
-  Key goal_key_;
-  std::vector<State> goal_states_;
+  WaveKey goal_key_;
+  std::vector<Key> goal_states_;
   // Created on the first fanned wave, so a search whose waves all stay
   // small never spawns a thread. Declared last so its workers are joined
   // before any member their tasks touch is destroyed.
   std::optional<ThreadPool> pool_;
 };
 
-template <typename Ops>
-void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
-                                std::size_t lo, std::size_t hi, Key level,
-                                const PhaseConfig& cfg, UpdateBuffer& out,
+template <typename Storage>
+void Searcher<Storage>::ExpandRange(const std::vector<Key>& frontier,
+                                std::size_t lo, std::size_t hi, WaveKey level,
+                                const PhaseConfig& cfg,
+                                UpdateBuffer<Key>& out,
                                 SearchStats& stats, Scratch& scratch,
                                 RelaxMemo& memo) {
   const CancelToken* cancel = options_.cancel;
@@ -833,7 +629,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
   // stage order keeps the per-thread TryImprove/Push sequence identical
   // to the unbatched loop, so determinism is untouched.
   struct Staged {
-    State next;
+    Key next;
     Weight g;
     Weight f;
     std::uint32_t len;
@@ -843,10 +639,11 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
   staged.reserve(64);
   for (std::size_t i = lo; i < hi; ++i) {
     if (cancelled_.load(std::memory_order_relaxed)) break;
-    const State s = frontier[i];
+    const Key s = frontier[i];
+    ops_.LoadKey(s, scratch);
     // One closure walk per expanded state; every successor below prices
     // off this context through the incremental fast paths (§14).
-    if (cfg.use_heuristic) ops_.PrepareExpand(s, scratch);
+    if (cfg.use_heuristic) ops_.PrepareExpand(scratch);
     // One bound snapshot per state, not two atomic loads per move. The
     // bound only ever decreases, so pruning against a stale (higher)
     // value is sound — it prunes a subset of what the live value would,
@@ -855,8 +652,11 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
     const Weight bound = best_goal_cost_.load(std::memory_order_relaxed);
     bool aborted = false;
     staged.clear();
-    ops_.ForEachSuccessor(s, scratch, [&](const auto& c, Weight move_cost,
-                                          Move move) {
+    // Inlined at each move class's call site, so the candidate masks stay
+    // in registers and the heuristic's per-move switch folds away.
+    ops_.ForEachSuccessor(scratch, [&](const Word* c, Weight move_cost,
+                                       Move move)
+                                       __attribute__((always_inline)) {
       // Root orbit pruning: skip suppressed first loads before they count
       // as generated (the canonical optimal path never uses one).
       if (!pruned_root_load_.empty() && s == start_ &&
@@ -885,7 +685,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
       }
       Weight h = 0;
       if (cfg.use_heuristic) {
-        h = ops_.HeuristicMove(c, move, scratch, stats);
+        h = ops_.HeuristicMove(move, scratch);
         if (h >= kInfiniteCost) {
           ++stats.pruned_heuristic;  // no completion exists from `c`
           return false;
@@ -897,15 +697,15 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
         return false;
       }
       const std::uint32_t len = cfg.use_len ? level.len + 1 : 0;
-      State next = 0;
-      if (!ops_.Commit(c, scratch, stats, &next)) {
+      Key next{};
+      if (!ops_.Commit(c, &next)) {
         interner_full_.store(true, std::memory_order_relaxed);
         aborted = true;
         return true;
       }
       if (memo.NonImproving(next, g, len)) return false;
       dist_.Prefetch(next);
-      staged.push_back({next, g, f, len, ops_.IsGoalCandidate(c)});
+      staged.push_back({next, g, f, len, ops_.IsGoal(c)});
       return false;
     });
     for (const Staged& p : staged) {
@@ -918,7 +718,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
                                    seen, p.g, std::memory_order_relaxed)) {
           }
         }
-        out.Push(Key{p.f, p.g, p.len}, p.next);
+        out.Push(WaveKey{p.f, p.g, p.len}, p.next);
       }
     }
     if (aborted) break;
@@ -929,8 +729,8 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
           .count());
 }
 
-template <typename Ops>
-PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
+template <typename Storage>
+PhaseStatus Searcher<Storage>::RunPhase(const PhaseConfig& cfg) {
   dist_.Reset();
   for (RelaxMemo& memo : chunk_memo_) memo.Clear();
   pending_.clear();
@@ -941,15 +741,15 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
       cfg.use_heuristic ? ops_.HeuristicState(start_, main_scratch_) : 0;
   if (h0 >= kInfiniteCost) return PhaseStatus::kInfeasible;
   dist_.TryImprove(start_, 0, 0);
-  pending_[Key{h0, 0, 0}].push_back(start_);
+  pending_[WaveKey{h0, 0, 0}].push_back(start_);
 
   bool found = false;
-  std::vector<State> live;
+  std::vector<Key> live;
 
   while (!found && !pending_.empty()) {
     auto level_node = pending_.extract(pending_.begin());
-    const Key level = level_node.key();
-    std::vector<State>& frontier = level_node.mapped();
+    const WaveKey level = level_node.key();
+    std::vector<Key>& frontier = level_node.mapped();
 
     // Drop states this level no longer owns: a later relaxation in an
     // earlier wave may have improved them into a lower level (which then
@@ -961,8 +761,8 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
       // over the (large) dist map, and the lookahead hides most of the
       // per-probe cache miss.
       if (i + 8 < frontier.size()) dist_.Prefetch(frontier[i + 8]);
-      const State s = frontier[i];
-      const FlatDistMap::Entry* e = dist_.Find(s);
+      const Key s = frontier[i];
+      const typename FlatDistMap<Key>::Entry* e = dist_.Find(s);
       if (e != nullptr && e->g == level.g && e->len == level.len) {
         live.push_back(s);
       }
@@ -975,8 +775,8 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
       return Abort(CancelStatus(), level);
     }
 
-    for (const State s : live) {
-      if (ops_.IsGoal(s)) goal_states_.push_back(s);
+    for (const Key s : live) {
+      if (ops_.IsGoalKey(s, main_scratch_)) goal_states_.push_back(s);
     }
     if (!goal_states_.empty()) {
       // Waves settle in ascending (f, g, len) order, so the first wave
@@ -1016,6 +816,7 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
     // it identically.
     const bool fanned = workers_ > 1 && live.size() >= FanOutCutoff(threads_);
     dist_.SetConcurrent(fanned);
+    std::size_t chunks_used = 1;
     if (fanned) {
       if (!pool_.has_value()) pool_.emplace(workers_);
       ++stats_.waves_fanned;
@@ -1023,11 +824,12 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
       const std::size_t chunk =
           (live.size() + chunk_count - 1) / chunk_count;
       const std::size_t num_chunks = (live.size() + chunk - 1) / chunk;
+      chunks_used = num_chunks;
       if (chunk_updates_.size() < num_chunks) {
         chunk_updates_.resize(num_chunks);
       }
-      if (chunk_scratch_.size() < num_chunks) {
-        chunk_scratch_.resize(num_chunks);
+      while (chunk_scratch_.size() < num_chunks) {
+        chunk_scratch_.push_back(ops_.MakeScratch());
       }
       if (chunk_memo_.size() < num_chunks) {
         chunk_memo_.resize(num_chunks);
@@ -1044,35 +846,41 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg) {
         });
       }
       group.Wait();
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        stats_.Accumulate(chunk_stats[c]);
-        MergeUpdates(chunk_updates_[c]);
-      }
+      for (const SearchStats& c : chunk_stats) stats_.Accumulate(c);
     } else {
       if (chunk_updates_.empty()) chunk_updates_.resize(1);
-      if (chunk_scratch_.empty()) chunk_scratch_.resize(1);
+      if (chunk_scratch_.empty()) chunk_scratch_.push_back(ops_.MakeScratch());
       if (chunk_memo_.empty()) chunk_memo_.resize(1);
       chunk_updates_[0].Clear();
       ExpandRange(live, 0, live.size(), level, cfg, chunk_updates_[0],
                   stats_, chunk_scratch_[0], chunk_memo_[0]);
-      MergeUpdates(chunk_updates_[0]);
     }
-    // Mid-wave aborts stop after the merge above, so the pending map holds
-    // every update the workers managed to record — which is exactly what
-    // the Abort() lower bound wants to scan.
-    if (interner_full_.load(std::memory_order_relaxed)) {
-      return Abort(PhaseStatus::kMemoryCap, level);
+    // A mid-wave abort ends the phase, so this wave's updates would never
+    // be expanded: rather than merging them into the pending map, fold
+    // their minimum f into the Abort() lower bound — the pending map plus
+    // these updates is exactly the open frontier the bound scans.
+    const bool full = interner_full_.load(std::memory_order_relaxed);
+    if (full || cancelled_.load(std::memory_order_relaxed)) {
+      const PhaseStatus status =
+          Abort(full ? PhaseStatus::kMemoryCap : CancelStatus(), level);
+      for (std::size_t c = 0; c < chunks_used; ++c) {
+        const UpdateBuffer<Key>& u = chunk_updates_[c];
+        for (std::size_t i = 0; i < u.size(); ++i) {
+          abort_lb_ = std::min(abort_lb_, u.key(i).f);
+        }
+      }
+      return status;
     }
-    if (cancelled_.load(std::memory_order_relaxed)) {
-      return Abort(CancelStatus(), level);
+    for (std::size_t c = 0; c < chunks_used; ++c) {
+      MergeUpdates(chunk_updates_[c]);
     }
   }
 
   return found ? PhaseStatus::kFound : PhaseStatus::kInfeasible;
 }
 
-template <typename Ops>
-ScheduleResult Searcher<Ops>::Run(bool want_schedule,
+template <typename Storage>
+ScheduleResult Searcher<Storage>::Run(bool want_schedule,
                                   const Incumbent* incumbent) {
   // Span label carries the engine, so profiles separate dijkstra waves
   // from informed ones. Recorded per Run (both passes of a bb run fall
@@ -1097,13 +905,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       static const obs::Counter pruned_heuristic("search.pruned_heuristic");
       static const obs::Gauge max_frontier("search.max_frontier");
       static const obs::Gauge frontier_bytes("search.frontier_bytes");
-      // Hot-path instrumentation (§14). Hit/miss splits are reporting-only
-      // and interleaving-dependent under threads; nothing in the search
-      // reads them back, so the determinism contract is untouched.
-      static const obs::Counter bound_cache_hit("search.bound_cache_hit");
-      static const obs::Counter bound_cache_miss("search.bound_cache_miss");
-      static const obs::Counter intern_cache_hit("search.intern_cache_hit");
-      static const obs::Counter intern_cache_miss("search.intern_cache_miss");
       static const obs::Counter succ_gen_ns("search.succ_gen_ns");
       runs.Add(1);
       expanded.Add(self->stats_.expanded);
@@ -1115,10 +916,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       pruned_heuristic.Add(self->stats_.pruned_heuristic);
       max_frontier.Max(self->stats_.max_frontier);
       frontier_bytes.Max(self->stats_.frontier_bytes);
-      bound_cache_hit.Add(self->stats_.bound_cache_hits);
-      bound_cache_miss.Add(self->stats_.bound_cache_misses);
-      intern_cache_hit.Add(self->stats_.intern_cache_hits);
-      intern_cache_miss.Add(self->stats_.intern_cache_misses);
       succ_gen_ns.Add(self->stats_.succ_gen_ns);
     }
   } flush{this};
@@ -1242,29 +1039,31 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
 // no engine's pruning can have missed it. The walk asks the policy for
 // predecessor/successor candidates and resolves them with FindExisting()
 // (never Commit), so reconstruction cannot grow the interned state set.
-template <typename Ops>
-Schedule Searcher<Ops>::Reconstruct() {
+template <typename Storage>
+Schedule Searcher<Storage>::Reconstruct() {
   const Weight goal_g = goal_key_.g;
   const std::uint32_t goal_len = goal_key_.len;
 
-  std::unordered_set<State> marked;
-  std::vector<State> stack;
-  for (const State g : goal_states_) {
-    if (marked.insert(g).second) stack.push_back(g);
+  using Entry = typename FlatDistMap<Key>::Entry;
+  std::unordered_set<Key, KeyHasher> marked;
+  std::vector<Key> stack;
+  for (const Key& goal : goal_states_) {
+    if (marked.insert(goal).second) stack.push_back(goal);
   }
   while (!stack.empty()) {
-    const State s = stack.back();
+    const Key s = stack.back();
     stack.pop_back();
-    const FlatDistMap::Entry* entry = dist_.Find(s);
+    const Entry* entry = dist_.Find(s);
     assert(entry != nullptr);
     if (entry->len == 0) continue;  // the start state has no predecessors
     const Weight s_g = entry->g;
     const std::uint32_t s_len = entry->len;
-    ops_.ForEachPredecessor(s, main_scratch_,
-                            [&](const auto& c, Weight move_cost) {
-      State p = 0;
+    ops_.LoadKey(s, main_scratch_);
+    ops_.ForEachPredecessor(main_scratch_, [&](const Word* c,
+                                               Weight move_cost) {
+      Key p{};
       if (!ops_.FindExisting(c, &p)) return;
-      const FlatDistMap::Entry* pe = dist_.Find(p);
+      const Entry* pe = dist_.Find(p);
       if (pe != nullptr && pe->g == s_g - move_cost &&
           pe->len == s_len - 1 && marked.insert(p).second) {
         stack.push_back(p);
@@ -1275,17 +1074,22 @@ Schedule Searcher<Ops>::Reconstruct() {
 
   std::vector<Move> moves;
   moves.reserve(goal_len);
-  State s = start_;
+  Key s = start_;
   Weight g = 0;
   std::uint32_t len = 0;
-  while (!(g == goal_g && len == goal_len && ops_.IsGoal(s))) {
+  while (true) {
+    ops_.LoadKey(s, main_scratch_);
+    if (g == goal_g && len == goal_len &&
+        ops_.IsGoal(main_scratch_.parent.data())) {
+      break;
+    }
     assert(len < goal_len);
     bool advanced = false;
-    ops_.ForEachSuccessor(s, main_scratch_,
-                          [&](const auto& c, Weight move_cost, Move move) {
-      State next = 0;
+    ops_.ForEachSuccessor(main_scratch_, [&](const Word* c, Weight move_cost,
+                                             Move move) {
+      Key next{};
       if (!ops_.FindExisting(c, &next)) return false;
-      const FlatDistMap::Entry* d = dist_.Find(next);
+      const Entry* d = dist_.Find(next);
       if (d == nullptr || d->g != g + move_cost || d->len != len + 1 ||
           !marked.contains(next)) {
         return false;
@@ -1316,14 +1120,19 @@ const char* ToString(SearchEngine engine) {
 
 BruteForceScheduler::BruteForceScheduler(const Graph& graph) : graph_(graph) {}
 
-ScheduleResult BruteForceScheduler::Search(Weight budget,
-                                           const BruteForceOptions& options,
-                                           bool want_schedule) const {
-  // Route through the packed fast path whenever the whole configuration
-  // fits one 64-bit word; wider graphs (or the differential-testing hook)
-  // take the interned wide representation. Both return bit-identical
-  // results — there is no graph size the engines refuse.
-  const bool wide = graph_.num_nodes() > 32 || options.force_wide_state;
+namespace detail {
+
+template <typename Word, std::size_t kWords>
+ScheduleResult SearchAtWidth(const Graph& graph, Weight budget,
+                             const BruteForceOptions& options,
+                             bool want_schedule) {
+  constexpr std::size_t kBits = std::numeric_limits<Word>::digits;
+  if (kWords != kInternedWords && graph.num_nodes() > kWords * kBits) {
+    throw std::invalid_argument(
+        "SearchAtWidth: " + std::to_string(graph.num_nodes()) +
+        " nodes do not fit " + std::to_string(kWords * kBits) +
+        " bits per colour");
+  }
 
   // Start-state certificates and root orbit pruning are sound only for
   // the standard game (empty red, sources blue, sinks-blue goal); drop
@@ -1339,13 +1148,51 @@ ScheduleResult BruteForceScheduler::Search(Weight budget,
 
   std::optional<Incumbent> incumbent;
   if (opts.engine == SearchEngine::kBranchAndBound) {
-    incumbent = SeedIncumbent(graph_, budget, opts);
+    incumbent = SeedIncumbent(graph, budget, opts);
   }
   const Incumbent* inc = incumbent.has_value() ? &*incumbent : nullptr;
 
-  ScheduleResult result =
-      wide ? Searcher<WideOps>(graph_, budget, opts).Run(want_schedule, inc)
-           : Searcher<PackedOps>(graph_, budget, opts).Run(want_schedule, inc);
+  using Storage = std::conditional_t<kWords == kInternedWords, StateInterner,
+                                     InlineStates<Word, kWords>>;
+  return Searcher<Storage>(graph, budget, opts).Run(want_schedule, inc);
+}
+
+template ScheduleResult SearchAtWidth<std::uint32_t, 1>(
+    const Graph&, Weight, const BruteForceOptions&, bool);
+template ScheduleResult SearchAtWidth<std::uint64_t, 1>(
+    const Graph&, Weight, const BruteForceOptions&, bool);
+template ScheduleResult SearchAtWidth<std::uint64_t, 2>(
+    const Graph&, Weight, const BruteForceOptions&, bool);
+template ScheduleResult SearchAtWidth<std::uint64_t, 4>(
+    const Graph&, Weight, const BruteForceOptions&, bool);
+template ScheduleResult SearchAtWidth<std::uint64_t, kInternedWords>(
+    const Graph&, Weight, const BruteForceOptions&, bool);
+
+}  // namespace detail
+
+ScheduleResult BruteForceScheduler::Search(Weight budget,
+                                           const BruteForceOptions& options,
+                                           bool want_schedule) const {
+  // The narrowest configuration that holds the graph: one 64-bit key up
+  // to 32 nodes, inline wide keys up to 256, interned ids beyond. Every
+  // width returns bit-identical results — there is no graph size the
+  // engines refuse.
+  const NodeId n = graph_.num_nodes();
+  const ScheduleResult result =
+      n <= 32    ? detail::SearchAtWidth<std::uint32_t, 1>(graph_, budget,
+                                                           options,
+                                                           want_schedule)
+      : n <= 64  ? detail::SearchAtWidth<std::uint64_t, 1>(graph_, budget,
+                                                           options,
+                                                           want_schedule)
+      : n <= 128 ? detail::SearchAtWidth<std::uint64_t, 2>(graph_, budget,
+                                                           options,
+                                                           want_schedule)
+      : n <= 256 ? detail::SearchAtWidth<std::uint64_t, 4>(graph_, budget,
+                                                           options,
+                                                           want_schedule)
+                 : detail::SearchAtWidth<std::uint64_t, detail::kInternedWords>(
+                       graph_, budget, options, want_schedule);
 
   if (options.engine == SearchEngine::kBranchAndBound) {
     static const obs::Counter bb_runs("search.bb.runs");

@@ -42,11 +42,15 @@
 // admissible and every undiscovered solution leaves the settled set
 // through an open state.
 //
-// State representation: graphs of at most 32 nodes pack (red, blue) into
-// one 64-bit word (the inline fast path, bit-compatible with the PR 3-5
-// engines); wider graphs intern word-array configurations in a
-// StateInterner and search over the interned ids, so there is NO graph
-// size beyond which the engines refuse to run.
+// State representation: one searcher, one move enumeration and one
+// heuristic closure (core/state_bound.h), written over red/blue masks
+// whose word type and word count are compile-time parameters. Search()
+// picks the narrowest width that holds the graph: 32 bits per colour
+// (red and blue packed into one 64-bit key, red in the low half), then
+// 64, 128 and 256 bits per colour with the configuration stored inline as
+// the key. Past 256 nodes the same code runs over interned word arrays
+// (StateInterner, schedulers/search_frontier.h) keyed by stable ids, so
+// there is NO graph size beyond which the engines refuse to run.
 //
 // Options support the Sec. 4.1 memory-state semantics: arbitrary initial
 // red/blue pebbles and a required final red set, so Eq. (8)'s P_m can be
@@ -62,8 +66,8 @@
 // order M1 < M2 < M3 < M4, node id ascending. All engines reconstruct
 // from a distance map whose optimal-path entries provably coincide, so
 // `--threads 1` vs `--threads N` and dijkstra vs A* vs bb all agree bit
-// for bit; differential tests at 1/2/8 threads pin this for both the
-// packed and the wide state representation.
+// for bit; differential tests at 1/2/8 threads pin this at every width
+// through the detail::SearchAtWidth seam below.
 #pragma once
 
 #include <algorithm>
@@ -112,17 +116,9 @@ struct SearchStats {
   // interned states, pending levels), sampled at wave boundaries — what
   // the frontier_bytes_cap meters. Merged by max.
   std::uint64_t frontier_bytes = 0;
-
-  // Hot-path instrumentation (DESIGN.md §14). All five are informational
-  // only — nothing in the search reads them back, and the hit/miss splits
-  // depend on thread interleaving (which worker reaches a shared-cache
-  // slot first), so identical runs may report different splits while still
-  // producing bit-identical schedules.
-  std::uint64_t bound_cache_hits = 0;    // slow-path h served from the cache
-  std::uint64_t bound_cache_misses = 0;  // slow-path h freshly walked
-  std::uint64_t intern_cache_hits = 0;   // interner lookups short-circuited
-  std::uint64_t intern_cache_misses = 0;  // ... that hit the shared table
-  std::uint64_t succ_gen_ns = 0;  // wall time inside the expansion loops
+  // Wall time inside the expansion loops, summed over chunks (DESIGN.md
+  // §14); informational only.
+  std::uint64_t succ_gen_ns = 0;
 
   void Accumulate(const SearchStats& other) {
     expanded += other.expanded;
@@ -134,10 +130,6 @@ struct SearchStats {
     pruned_heuristic += other.pruned_heuristic;
     max_frontier = std::max(max_frontier, other.max_frontier);
     frontier_bytes = std::max(frontier_bytes, other.frontier_bytes);
-    bound_cache_hits += other.bound_cache_hits;
-    bound_cache_misses += other.bound_cache_misses;
-    intern_cache_hits += other.intern_cache_hits;
-    intern_cache_misses += other.intern_cache_misses;
     succ_gen_ns += other.succ_gen_ns;
   }
 };
@@ -194,11 +186,6 @@ struct BruteForceOptions {
   // the way (see the --engine-compare benchmark) and in how they behave
   // when interrupted (only bb holds an incumbent).
   SearchEngine engine = SearchEngine::kAStar;
-  // Testing hook: route a <= 32-node graph through the wide interned-state
-  // representation instead of the packed fast path. Results are
-  // bit-identical (pinned by engine_differential_test); only the
-  // state-plumbing differs.
-  bool force_wide_state = false;
   // Certified start-state lower bound, typically the best ganalysis bound
   // certificate (ganalysis/bounds.h). Folded into the REPORTED
   // lower_bound at every interrupted exit — never into per-state h or the
@@ -241,5 +228,26 @@ class BruteForceScheduler {
 
   const Graph& graph_;
 };
+
+namespace detail {
+
+// SearchAtWidth's word count for interned storage: the graph's own count
+// of 64-bit words, fixed at runtime.
+inline constexpr std::size_t kInternedWords = 0;
+
+// The search at one state width: `kWords` words of type `Word` per colour
+// stored inline as the key, or interned ids when kWords ==
+// kInternedWords (Word must then be std::uint64_t). BruteForceScheduler
+// calls it at the narrowest width that holds the graph; differential
+// tests call it at every width that holds theirs and expect bit-identical
+// results. Instantiated for (uint32_t, 1), (uint64_t, 1), (uint64_t, 2),
+// (uint64_t, 4) and (uint64_t, kInternedWords). Throws
+// std::invalid_argument when the graph does not fit the width.
+template <typename Word, std::size_t kWords>
+ScheduleResult SearchAtWidth(const Graph& graph, Weight budget,
+                             const BruteForceOptions& options,
+                             bool want_schedule);
+
+}  // namespace detail
 
 }  // namespace wrbpg

@@ -1,21 +1,23 @@
 // Allocation-lean frontier mechanics for the exact search engine
-// (DESIGN.md §9/§11): an open-addressing flat distance map, pooled wave
-// buffers, and the wide-state interner that lifts the engine past the
-// 32-node packed-mask fast path. The PR 3 engine kept distances in 64
-// sharded std::unordered_map shards and allocated a fresh std::vector per
-// (key, level) of the pending map — node-by-node heap traffic on the
-// hottest loop in the repo. Here every shard is a flat linear-probe
-// table (one contiguous slab, grown by doubling, never freed mid-search)
-// and level vectors are recycled through a pool, so steady-state waves
-// allocate nothing.
+// (DESIGN.md §9/§11): the search keys, an open-addressing flat distance
+// map, pooled wave buffers, and the two ways a configuration is stored —
+// inline as its own key (graphs of up to 256 nodes) or interned behind a
+// stable id (any size). Every container is templated on the key type, so
+// the one searcher in brute_force.cc runs over any of them. Every dist-map
+// shard is a flat linear-probe table (one contiguous slab, grown by
+// doubling, never freed mid-search) and level vectors are recycled
+// through a pool, so steady-state waves allocate nothing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,13 +25,39 @@
 
 namespace wrbpg {
 
-// Pebbling configuration handle. Graphs of at most 32 nodes pack the
-// whole configuration inline — red mask | (blue mask << 32) — so the
-// handle IS the state (the fast path). Wider graphs store configurations
-// as word arrays in a StateInterner and the handle is the interned id;
-// either way every frontier container (dist map, pending levels, update
-// buffers) traffics in plain 64-bit values.
-using SearchState = std::uint64_t;
+// Search key of a configuration wider than one 64-bit word: its red mask
+// words followed by its blue mask words, compared and hashed as a whole.
+template <std::size_t kKeyWords>
+struct WideKey {
+  std::array<std::uint64_t, kKeyWords> words{};
+  friend bool operator==(const WideKey&, const WideKey&) = default;
+};
+
+// The hash every keyed table below starts from. A one-word key is
+// multiplied by the golden-ratio constant (the dist map's layout for
+// 32-node configurations); a wide key folds each word in with a multiply
+// and a high-to-low xor, so bits anywhere in any word reach both the high
+// bits (shard choice) and the low bits (slot choice).
+inline std::uint64_t KeyMix(std::uint64_t key) {
+  return key * 0x9e3779b97f4a7c15ull;
+}
+template <std::size_t kKeyWords>
+std::uint64_t KeyMix(const WideKey<kKeyWords>& key) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t w : key.words) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+// std::unordered_* hasher over KeyMix.
+struct KeyHasher {
+  template <typename Key>
+  std::size_t operator()(const Key& key) const {
+    return static_cast<std::size_t>(KeyMix(key));
+  }
+};
 
 // Tiny test-and-test-and-set lock for the sharded hot-path tables below.
 // Their critical sections are a handful of instructions (one probe, one
@@ -89,123 +117,42 @@ struct WaveKey {
 // the streams halves the bytes each pass pulls through the cache and
 // lets the (smaller) state run stay resident. Cleared per wave, capacity
 // retained — steady-state waves allocate nothing.
+template <typename Key>
 class UpdateBuffer {
  public:
   void Clear() {
     keys_.clear();
     states_.clear();
   }
-  void Push(const WaveKey& key, SearchState state) {
+  void Push(const WaveKey& key, const Key& state) {
     keys_.push_back(key);
     states_.push_back(state);
   }
   std::size_t size() const { return keys_.size(); }
   const WaveKey& key(std::size_t i) const { return keys_[i]; }
-  SearchState state(std::size_t i) const { return states_[i]; }
+  const Key& state(std::size_t i) const { return states_[i]; }
 
   std::size_t MemoryBytes() const {
     return keys_.capacity() * sizeof(WaveKey) +
-           states_.capacity() * sizeof(SearchState);
+           states_.capacity() * sizeof(Key);
   }
 
  private:
   std::vector<WaveKey> keys_;
-  std::vector<SearchState> states_;
+  std::vector<Key> states_;
 };
 
-// Sharded insert-only SearchState -> heuristic-value cache. The A*
-// heuristic is a pure function of the configuration, so reopening and
-// the two passes of a bb run keep re-deriving h for states the search
-// has already priced; the searcher consults this cache on the slow (full
-// re-walk) heuristic paths only — the fast incremental deltas are cheaper
-// than a probe. kInfiniteCost is a
-// legitimate cached value (dead states are exactly the ones regenerated
-// most), hence the explicit `used` flag. Insert races between workers are
-// benign: both write the same h.
-class BoundCache {
- public:
-  bool Find(SearchState s, Weight* h) const {
-    const Shard& shard = shards_[ShardIndex(s)];
-    std::lock_guard<SpinLock> lock(shard.mu);
-    if (shard.slots.empty()) return false;
-    const Entry& e = shard.slots[shard.ProbeIndex(s)];
-    if (!e.used) return false;
-    *h = e.h;
-    return true;
-  }
-
-  void Insert(SearchState s, Weight h) {
-    Shard& shard = shards_[ShardIndex(s)];
-    std::lock_guard<SpinLock> lock(shard.mu);
-    if (shard.slots.empty()) shard.slots.resize(kInitialCapacity);
-    std::size_t i = shard.ProbeIndex(s);
-    if (shard.slots[i].used) return;  // someone else priced it first
-    if ((shard.size + 1) * 4 > shard.slots.size() * 3) {
-      shard.Rehash(shard.slots.size() * 2);
-      i = shard.ProbeIndex(s);
-    }
-    shard.slots[i] = Entry{s, h, true};
-    ++shard.size;
-  }
-
-  std::size_t MemoryBytes() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.slots.capacity() * sizeof(Entry);
-    }
-    return total;
-  }
-
- private:
-  static constexpr std::size_t kShardCount = 64;  // power of two
-  static constexpr std::size_t kInitialCapacity = 256;
-
-  struct Entry {
-    SearchState state = 0;
-    Weight h = 0;
-    bool used = false;
-  };
-  struct Shard {
-    mutable SpinLock mu;
-    std::vector<Entry> slots;  // power-of-two capacity
-    std::size_t size = 0;
-
-    std::size_t ProbeIndex(SearchState s) const {
-      const std::uint64_t h = s * 0x9e3779b97f4a7c15ull;
-      std::size_t i = static_cast<std::size_t>(h ^ (h >> 29)) &
-                      (slots.size() - 1);
-      while (slots[i].used && slots[i].state != s) {
-        i = (i + 1) & (slots.size() - 1);
-      }
-      return i;
-    }
-    void Rehash(std::size_t capacity) {
-      std::vector<Entry> old = std::exchange(slots, {});
-      slots.resize(capacity);
-      for (const Entry& e : old) {
-        if (e.used) slots[ProbeIndex(e.state)] = e;
-      }
-    }
-  };
-
-  static std::size_t ShardIndex(SearchState s) {
-    return static_cast<std::size_t>((s * 0x9e3779b97f4a7c15ull) >> 58) &
-           (kShardCount - 1);
-  }
-
-  Shard shards_[kShardCount];
-};
-
-// Concurrent SearchState -> best-known (g, len) map. Sharded so parallel
+// Concurrent key -> best-known (g, len) map. Sharded so parallel
 // frontier expansion relaxes edges without a global lock; shortest-path
 // distances are unique, so the final contents are independent of which
 // thread wins each race — the root of the parallel == sequential
 // guarantee. Within a shard, open addressing with linear probing: inserts
 // touch one cache line in the common case instead of an allocator.
+template <typename Key>
 class FlatDistMap {
  public:
   struct Entry {
-    SearchState state = 0;
+    Key state{};
     Weight g = 0;
     std::uint32_t len = 0;
     bool used = false;
@@ -219,7 +166,7 @@ class FlatDistMap {
 
   // Inserts or lexicographically lowers (g, len) for `s`; true when this
   // call changed the stored value.
-  bool TryImprove(SearchState s, Weight g, std::uint32_t len) {
+  bool TryImprove(const Key& s, Weight g, std::uint32_t len) {
     Shard& shard = shards_[ShardIndex(s)];
     if (concurrent_) {
       std::lock_guard<SpinLock> lock(shard.mu);
@@ -234,11 +181,11 @@ class FlatDistMap {
   // (published by Rehash under the lock), so a concurrent rehash at worst
   // leaves a stale snapshot — and a prefetch of a dead slab is harmless
   // (the hint has no fault or visibility semantics). Never dereferences.
-  void Prefetch(SearchState s) const {
+  void Prefetch(const Key& s) const {
     const Shard& shard = shards_[ShardIndex(s)];
     const Entry* base = shard.probe_base.load(std::memory_order_relaxed);
     if (base == nullptr) return;
-    const std::uint64_t h = Mix(s);
+    const std::uint64_t h = KeyMix(s);
     const std::size_t i = static_cast<std::size_t>(h ^ (h >> 29)) &
                           shard.probe_mask.load(std::memory_order_relaxed);
     __builtin_prefetch(&base[i], 1, 1);
@@ -246,7 +193,7 @@ class FlatDistMap {
 
   // Lock-free lookup; only legal while no expansion is in flight (between
   // waves, and during reconstruction).
-  const Entry* Find(SearchState s) const {
+  const Entry* Find(const Key& s) const {
     const Shard& shard = shards_[ShardIndex(s)];
     if (shard.slots.empty()) return nullptr;
     const Entry* e = shard.ProbeConst(s);
@@ -283,11 +230,8 @@ class FlatDistMap {
   static constexpr std::size_t kShardCount = 64;  // power of two
   static constexpr std::size_t kInitialCapacity = 256;
 
-  static std::uint64_t Mix(SearchState s) {
-    return s * 0x9e3779b97f4a7c15ull;
-  }
-  static std::size_t ShardIndex(SearchState s) {
-    return static_cast<std::size_t>(Mix(s) >> 58) & (kShardCount - 1);
+  static std::size_t ShardIndex(const Key& s) {
+    return static_cast<std::size_t>(KeyMix(s) >> 58) & (kShardCount - 1);
   }
 
   struct Shard {
@@ -299,18 +243,18 @@ class FlatDistMap {
     std::atomic<const Entry*> probe_base{nullptr};
     std::atomic<std::size_t> probe_mask{0};
 
-    std::size_t SlotIndex(SearchState s) const {
-      const std::uint64_t h = Mix(s);
+    std::size_t SlotIndex(const Key& s) const {
+      const std::uint64_t h = KeyMix(s);
       return static_cast<std::size_t>(h ^ (h >> 29)) & (slots.size() - 1);
     }
-    Entry* Probe(SearchState s) {
+    Entry* Probe(const Key& s) {
       std::size_t i = SlotIndex(s);
       while (slots[i].used && slots[i].state != s) {
         i = (i + 1) & (slots.size() - 1);
       }
       return &slots[i];
     }
-    const Entry* ProbeConst(SearchState s) const {
+    const Entry* ProbeConst(const Key& s) const {
       std::size_t i = SlotIndex(s);
       while (slots[i].used && slots[i].state != s) {
         i = (i + 1) & (slots.size() - 1);
@@ -328,7 +272,7 @@ class FlatDistMap {
     }
   };
 
-  static bool TryImproveIn(Shard& shard, SearchState s, Weight g,
+  static bool TryImproveIn(Shard& shard, const Key& s, Weight g,
                            std::uint32_t len) {
     if (shard.slots.empty()) shard.Rehash(kInitialCapacity);
     Entry* e = shard.Probe(s);
@@ -360,93 +304,114 @@ class FlatDistMap {
 // levels hand their storage back; new levels pull it out again, so after
 // the first few waves the frontier runs allocation-free regardless of how
 // many levels come and go ("bulk-freed between levels").
+template <typename Key>
 class LevelPool {
  public:
-  std::vector<SearchState> Acquire() {
+  std::vector<Key> Acquire() {
     if (pool_.empty()) return {};
-    std::vector<SearchState> v = std::move(pool_.back());
+    std::vector<Key> v = std::move(pool_.back());
     pool_.pop_back();
     return v;
   }
-  void Release(std::vector<SearchState>&& v) {
+  void Release(std::vector<Key>&& v) {
     v.clear();
     pool_.push_back(std::move(v));
   }
 
  private:
-  std::vector<std::vector<SearchState>> pool_;
+  std::vector<std::vector<Key>> pool_;
 };
 
-// Deduplicating store for wide pebbling configurations (graphs past the
-// 32-node packed fast path). Each configuration is `words` 64-bit words —
-// red mask words first, blue mask words second — interned once and handed
-// out as a stable SearchState id, so the dist map / pending machinery
-// above runs unchanged on ids.
+// ---------------------------------------------------------------------------
+// Configuration storage. The searcher keeps every configuration as
+// `Words()` words of type `Word` — red mask words first, blue mask words
+// second — and asks its storage policy only two things: Store() the words
+// of a configuration to get its key, and Load() a key's words back. Find()
+// is Store's read-only twin for the reconstruction walk, which must not
+// invent states.
+// ---------------------------------------------------------------------------
+
+// Inline storage for fixed widths: the configuration IS the key, so Store
+// and Load are copies and nothing is held. At 32 bits per colour the key
+// is one 64-bit word, red in the low half and blue in the high half; wider
+// configurations are a WideKey of their 64-bit words.
+template <typename WordT, std::size_t kWordsPerColor>
+class InlineStates {
+ public:
+  using Word = WordT;
+  static constexpr std::size_t kWords = kWordsPerColor;
+  static constexpr bool kPacked =
+      2 * kWords * sizeof(Word) == sizeof(std::uint64_t);
+  static_assert(kWords > 0);
+  static_assert(kPacked || std::is_same_v<Word, std::uint64_t>);
+  using Key =
+      std::conditional_t<kPacked, std::uint64_t, WideKey<2 * kWords>>;
+
+  explicit InlineStates(std::size_t /*config_words*/) {}
+
+  static void Load(const Key& key, Word* config) {
+    if constexpr (kPacked) {
+      config[0] = static_cast<Word>(key);
+      config[1] = static_cast<Word>(key >> 32);
+    } else {
+      std::copy(key.words.begin(), key.words.end(), config);
+    }
+  }
+  static bool Store(const Word* config, Key* key) {
+    if constexpr (kPacked) {
+      *key = static_cast<std::uint64_t>(config[0]) |
+             (static_cast<std::uint64_t>(config[1]) << 32);
+    } else {
+      std::copy(config, config + 2 * kWords, key->words.begin());
+    }
+    return true;
+  }
+  static bool Find(const Word* config, Key* key) { return Store(config, key); }
+
+  // Keys live inline in the dist map; nothing here scales with the search.
+  std::size_t MemoryBytes() const { return 0; }
+};
+
+// Interned storage for graphs past the widest inline key (kWords == 0:
+// the word count is the graph's, fixed at runtime). Each configuration is
+// `config_words` 64-bit words, stored once and handed out as a stable
+// 64-bit id, so the dist map / pending machinery runs unchanged on ids.
 //
-// Concurrency contract (mirrors FlatDistMap): Intern() is safe from any
-// pool worker mid-wave; Words() may be called on any id PUBLISHED BEFORE
-// the last wave barrier (the level-synchronous searcher only dereferences
-// states from earlier waves while expanding, and TaskGroup::Wait is the
+// Concurrency contract (mirrors FlatDistMap): Store() is safe from any
+// pool worker mid-wave; Load() may be called on any id PUBLISHED BEFORE
+// the last wave barrier (the level-synchronous searcher only loads states
+// from earlier waves while expanding, and TaskGroup::Wait is the
 // synchronizing edge). Slabs are fixed-size chunks behind an atomic
-// pointer directory, so interning never moves words a reader could hold.
+// pointer directory, so storing never moves words a reader could hold.
 // Find() (lookup without insert) is only called from the single-threaded
 // reconstruction walk.
 class StateInterner {
  public:
-  explicit StateInterner(std::size_t words) : words_(words) {}
+  using Word = std::uint64_t;
+  static constexpr std::size_t kWords = 0;
+  using Key = std::uint64_t;
 
-  // Per-worker lookaside over Intern(): a direct-mapped {hash -> id}
-  // table that answers repeat interns of hot configurations without
-  // touching the owning shard's lock. Entries only ever point at ids the
-  // owning worker interned itself, so the Words() dereference in the
-  // verify step needs no extra synchronization. One per expansion
-  // scratch; cleared never (stale entries just miss).
-  class LocalCache {
-   public:
-    static constexpr std::size_t kSlots = 4096;  // power of two
+  explicit StateInterner(std::size_t config_words) : words_(config_words) {}
 
-   private:
-    friend class StateInterner;
-    struct Slot {
-      std::uint64_t hash = 0;
-      SearchState id = 0;
-      bool used = false;
-    };
-    std::vector<Slot> slots_;  // sized lazily on first use
-  };
-
-  // Intern() through the worker's local cache; `hits`/`misses` count the
-  // lookaside's effectiveness (they feed search.intern_cache_* — counts
-  // are per-worker and interleaving-dependent, reporting only).
-  bool InternCached(const std::uint64_t* w, LocalCache& cache, SearchState* id,
-                    std::uint64_t* hits, std::uint64_t* misses) {
-    const std::uint64_t h = Hash(w);
-    if (cache.slots_.empty()) cache.slots_.resize(LocalCache::kSlots);
-    LocalCache::Slot& slot = cache.slots_[h & (LocalCache::kSlots - 1)];
-    if (slot.used && slot.hash == h && Equal(Words(slot.id), w)) {
-      *id = slot.id;
-      ++*hits;
-      return true;
-    }
-    ++*misses;
-    if (!InternHashed(w, h, id)) return false;
-    slot = {h, *id, true};
-    return true;
+  // Copies the words of an interned id into `config`.
+  void Load(Key id, std::uint64_t* config) const {
+    const Shard& shard = shards_[id & (kShardCount - 1)];
+    const std::uint32_t local = static_cast<std::uint32_t>(id >> kShardBits);
+    const std::uint64_t* words =
+        shard.chunks[local / kChunkStates].load(std::memory_order_acquire) +
+        (local % kChunkStates) * words_;
+    std::memcpy(config, words, words_ * sizeof(std::uint64_t));
   }
 
-  // Interns `w` (words_ words) and returns its id; false when the chunk
-  // directory is exhausted (the caller treats it as a memory cap — at
-  // default chunking that is >500M states, far past any byte budget).
-  bool Intern(const std::uint64_t* w, SearchState* id) {
-    return InternHashed(w, Hash(w), id);
-  }
-
- private:
-  bool InternHashed(const std::uint64_t* w, std::uint64_t h, SearchState* id) {
+  // Interns `config` and returns its id; false when the chunk directory
+  // is exhausted (the caller treats it as a memory cap — at default
+  // chunking that is >500M states, far past any byte budget).
+  bool Store(const std::uint64_t* config, Key* id) {
+    const std::uint64_t h = Hash(config);
     Shard& shard = shards_[ShardIndex(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.slots.empty()) shard.slots.assign(kInitialCapacity, 0);
-    std::uint32_t* slot = Probe(shard, h, w);
+    std::uint32_t* slot = Probe(shard, h, config);
     if (*slot != 0) {
       *id = MakeId(ShardIndex(h), *slot - 1);
       return true;
@@ -462,51 +427,33 @@ class StateInterner {
     }
     std::uint64_t* dst = shard.chunks[chunk].load(std::memory_order_relaxed) +
                          (local % kChunkStates) * words_;
-    std::memcpy(dst, w, words_ * sizeof(std::uint64_t));
+    std::memcpy(dst, config, words_ * sizeof(std::uint64_t));
     ++shard.count;
     if ((shard.count + 1) * 4 > shard.slots.size() * 3) {
       Rehash(shard);
-      slot = Probe(shard, h, w);
+      slot = Probe(shard, h, config);
     }
     *slot = local + 1;
     *id = MakeId(ShardIndex(h), local);
     return true;
   }
 
- public:
   // Lookup without insert; used by the reconstruction walk to test
   // whether a candidate predecessor was ever discovered.
-  bool Find(const std::uint64_t* w, SearchState* id) const {
-    const std::uint64_t h = Hash(w);
+  bool Find(const std::uint64_t* config, Key* id) const {
+    const std::uint64_t h = Hash(config);
     const Shard& shard = shards_[ShardIndex(h)];
     if (shard.slots.empty()) return false;
     std::size_t i = static_cast<std::size_t>(h ^ (h >> 31)) &
                     (shard.slots.size() - 1);
     while (shard.slots[i] != 0) {
-      if (Equal(WordsIn(shard, shard.slots[i] - 1), w)) {
+      if (Equal(WordsIn(shard, shard.slots[i] - 1), config)) {
         *id = MakeId(ShardIndex(h), shard.slots[i] - 1);
         return true;
       }
       i = (i + 1) & (shard.slots.size() - 1);
     }
     return false;
-  }
-
-  // The words of an interned id (red words, then blue words).
-  const std::uint64_t* Words(SearchState id) const {
-    const Shard& shard = shards_[id & (kShardCount - 1)];
-    const std::uint32_t local = static_cast<std::uint32_t>(id >> kShardBits);
-    return shard.chunks[local / kChunkStates].load(
-               std::memory_order_acquire) +
-           (local % kChunkStates) * words_;
-  }
-
-  std::size_t words() const { return words_; }
-
-  std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) total += shard.count;
-    return total;
   }
 
   std::size_t MemoryBytes() const {
@@ -537,9 +484,8 @@ class StateInterner {
   static std::size_t ShardIndex(std::uint64_t h) {
     return (h >> 58) & (kShardCount - 1);
   }
-  static SearchState MakeId(std::size_t shard, std::uint32_t local) {
-    return (static_cast<SearchState>(local) << kShardBits) |
-           static_cast<SearchState>(shard);
+  static Key MakeId(std::size_t shard, std::uint32_t local) {
+    return (static_cast<Key>(local) << kShardBits) | static_cast<Key>(shard);
   }
   std::uint64_t Hash(const std::uint64_t* w) const {
     std::uint64_t h = 0x9e3779b97f4a7c15ull;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -113,10 +112,7 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
   const obs::ScopedSpan span("service.solve");
   static const obs::Counter solves("service.solves");
   solves.Add(1);
-  {
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.solves;
-  }
+  solves_.fetch_add(1, std::memory_order_relaxed);
 
   RobustOptions robust = options_.robust;
   robust.deadline_ms = deadline_ms;
@@ -160,10 +156,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   const Clock::time_point start = Clock::now();
 
   ServiceResponse response;
-  {
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.requests;
-  }
+  requests_.fetch_add(1, std::memory_order_relaxed);
   if (request.graph == nullptr || request.budget <= 0) {
     response.error = "malformed request: graph and a positive budget are "
                      "required";
@@ -193,8 +186,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
     if (const auto entry = cache_.Get(key)) {
       if (entry->graph_bin == graph_bin) {
         hits.Add(1);
-        const std::scoped_lock lock(stats_mu_);
-        ++stats_.cache_hits;
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         return respond_from(entry, ServeSource::kCacheHit);
       }
       // Same iso-invariant key, different bytes: either a permuted
@@ -207,8 +199,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
           if (FindIsomorphism(entry->graph, entry->labels(),
                               *request.graph)) {
             iso_hits.Add(1);
-            const std::scoped_lock lock(stats_mu_);
-            ++stats_.iso_hits;
+            iso_hits_.fetch_add(1, std::memory_order_relaxed);
             return respond_from(entry, ServeSource::kIsoCacheHit);
           }
         } else if (const auto map = FindIsomorphism(
@@ -224,10 +215,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
               Simulate(*request.graph, request.budget, renamed.schedule);
           if (sim.valid && sim.cost == entry->result.cost) {
             iso_hits.Add(1);
-            {
-              const std::scoped_lock lock(stats_mu_);
-              ++stats_.iso_hits;
-            }
+            iso_hits_.fetch_add(1, std::memory_order_relaxed);
             response.ok = true;
             response.result = std::move(renamed);
             response.winner = entry->winner;
@@ -241,10 +229,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   }
 
   misses.Add(1);
-  {
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.misses;
-  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   // Single-flight over the EXACT request identity (graph bytes + budget
   // + effective deadline): concurrent identical requests run one solve;
   // requests differing only in deadline stay separate flights, because
@@ -256,8 +241,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
       flight_key, [&] { return Solve(request, deadline_ms, key); });
   if (!outcome.leader) {
     dedups.Add(1);
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.dedup_shared;
+    dedup_shared_.fetch_add(1, std::memory_order_relaxed);
   }
   return respond_from(outcome.value, outcome.leader ? ServeSource::kSolved
                                                     : ServeSource::kDedup);
@@ -327,9 +311,8 @@ std::vector<ServiceResponse> ScheduleService::ServeBatch(
         // the cache or a flight; account them like single-flight shares.
         responses[group.indices[k]].source = ServeSource::kDedup;
         batch_dedup.Add(1);
-        const std::scoped_lock lock(stats_mu_);
-        ++stats_.requests;
-        ++stats_.dedup_shared;
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        dedup_shared_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -338,10 +321,12 @@ std::vector<ServiceResponse> ScheduleService::ServeBatch(
 
 ServiceStats ScheduleService::stats() const {
   ServiceStats out;
-  {
-    const std::scoped_lock lock(stats_mu_);
-    out = stats_;
-  }
+  out.requests = requests_.load(std::memory_order_relaxed);
+  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  out.iso_hits = iso_hits_.load(std::memory_order_relaxed);
+  out.misses = misses_.load(std::memory_order_relaxed);
+  out.dedup_shared = dedup_shared_.load(std::memory_order_relaxed);
+  out.solves = solves_.load(std::memory_order_relaxed);
   const auto cache = cache_.stats();
   out.cache_entries = cache.entries;
   out.cache_bytes = cache.bytes;

@@ -56,9 +56,9 @@
 // service.serve/solve spans (wrbpg-obs-v1).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -115,7 +115,7 @@ struct ServiceOptions {
   // Worker threads for ServeBatch dispatch; 0 = DefaultSearchThreads().
   std::size_t threads = 0;
   // Base options for cold solves (deadline_ms is overridden per request;
-  // exact_force_wide_state/threads flow through for differential tests).
+  // threads flows through for differential tests).
   RobustOptions robust;
 };
 
@@ -167,8 +167,14 @@ class ScheduleService {
   ShardedLruCache<std::uint64_t, CacheEntry> cache_;
   SingleFlight<std::string, CacheEntry> flights_;
   ThreadPool pool_;
-  mutable std::mutex stats_mu_;
-  ServiceStats stats_;
+  // ServiceStats' event counters. Relaxed: each is a monotone tally that
+  // orders nothing, and stats() copies them one by one.
+  std::atomic<std::uint64_t> requests_{0};
+  std::atomic<std::uint64_t> cache_hits_{0};
+  std::atomic<std::uint64_t> iso_hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> dedup_shared_{0};
+  std::atomic<std::uint64_t> solves_{0};
 };
 
 }  // namespace wrbpg

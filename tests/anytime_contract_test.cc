@@ -133,14 +133,15 @@ TEST(AnytimeContract, CompletedRunBitMatchesAStar) {
   }
 }
 
-// Beyond the 32-node packed wall: random DAG fuzz under tight deadlines.
+// Beyond 32 nodes (a 64-bit-per-colour state): random DAG fuzz under
+// tight deadlines.
 // Every interrupted result must be a simulator-valid schedule with an
 // internally consistent, finite gap whose lower bound clears Prop 2.4.
 TEST(AnytimeContract, WideGraphDeadlineFuzz) {
   Rng rng(0xa17e5u);
   RandomDagOptions dag_options;
   dag_options.num_layers = 7;
-  dag_options.nodes_per_layer = 6;  // 42 nodes: wide path, packed is gone
+  dag_options.nodes_per_layer = 6;  // 42 nodes
   for (int instance = 0; instance < 4; ++instance) {
     const Graph graph = BuildRandomDag(rng, dag_options);
     ASSERT_GT(graph.num_nodes(), 32u);

@@ -281,6 +281,19 @@ TEST(BinIo, RejectsModelViolations) {
   EXPECT_NE(s.error.find("invalid type"), std::string::npos);
 }
 
+// A duplicate edge whose twin is not adjacent in the edge table — (0,2),
+// (1,2), (0,2) — is rejected too. Decoding leaves the check to
+// GraphBuilder validation, which runs it once on the sorted parent lists.
+TEST(BinIo, RejectsNonAdjacentDuplicateEdge) {
+  SpecEncoder dup(kBinKindGraph);
+  dup.U32(3).U32(3).U64(16).U64(8).U64(8).U8(0);
+  dup.U32(0).U32(2).U32(1).U32(2).U32(0).U32(2);
+  const GraphParseResult r = ParseGraphBinary(dup.Finish());
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("duplicate edge (0,2)"), std::string::npos)
+      << r.error;
+}
+
 TEST(BinIo, RejectsBadVersionAndReserved) {
   std::string bytes = ToBinary(Diamond());
   {

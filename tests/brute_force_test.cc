@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/analysis.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/greedy_topo.h"
@@ -159,11 +162,10 @@ TEST(BruteForce, InitialRedBeyondBudgetInfeasible) {
   EXPECT_FALSE(sched.Run(3, options).feasible);
 }
 
-// Graphs beyond the 32-node packed-mask width route through the wide
-// interned-state representation and solve exactly — there is no size at
-// which the engines refuse to run. A 33-node unit chain (budget 3, so
-// the search stays polynomial-sized) costs exactly load-source +
-// store-sink = 2.
+// Graphs beyond 32 nodes route through a wider state representation and
+// solve exactly — there is no size at which the engines refuse to run. A
+// 33-node unit chain (budget 3, so the search stays polynomial-sized)
+// costs exactly load-source + store-sink = 2.
 TEST(BruteForce, GraphBeyond32NodesSolvesExactly) {
   const Graph g = MakeChain(33, 1);
   BruteForceScheduler sched(g);
@@ -178,7 +180,7 @@ TEST(BruteForce, GraphBeyond32NodesSolvesExactly) {
   EXPECT_EQ(sched.CostOnly(3), result.cost);
 }
 
-// The wide path at a pinching budget: the chain must slide one window of
+// A wider state at a pinching budget: the chain must slide one window of
 // two unit nodes at a time, and infeasibility below that is a verdict
 // about the instance, not a refusal.
 TEST(BruteForce, GraphBeyond32NodesTightBudget) {
@@ -189,6 +191,64 @@ TEST(BruteForce, GraphBeyond32NodesTightBudget) {
   EXPECT_EQ(result.cost, 2);
   testing::ExpectValid(g, 2, result.schedule);
   EXPECT_FALSE(sched.Run(1).feasible);
+}
+
+// The canonical optimum of a unit chain 0 -> 1 -> ... -> n-1 at a budget
+// of `window` pebbles: load the source, slide a window of `window` red
+// nodes down the chain — compute the next node, then delete the one
+// leaving the window (M3 sorts before M4, so the window fills before it
+// slides) — and store the sink.
+Schedule SlidingWindowSchedule(NodeId n, NodeId window) {
+  std::vector<Move> moves = {Load(0)};
+  for (NodeId v = 1; v < n; ++v) {
+    moves.push_back(Compute(v));
+    if (v + 1 < n && v + 1 >= window) moves.push_back(Delete(v + 1 - window));
+  }
+  moves.push_back(Store(n - 1));
+  return Schedule(std::move(moves));
+}
+
+// One real graph per state-width band — 40 nodes (64 bits per colour),
+// 100 (128), 200 (256) and 300 (interned) — so BruteForceScheduler's
+// num_nodes() dispatch is exercised end to end: every engine at 1, 2 and
+// 8 threads must return dijkstra's sequential schedule bit for bit, and
+// that schedule is the sliding window. Budget 3 runs only on the two
+// narrower bands: there, sequential dijkstra settles O(n^3) states —
+// tens of seconds at 200 nodes, past the 20M-state cap at 300.
+TEST(BruteForce, EveryWidthBandMatchesDijkstra) {
+  for (const NodeId n : {40u, 100u, 200u, 300u}) {
+    const Graph g = MakeChain(n, 1);
+    const BruteForceScheduler sched(g);
+    for (const Weight budget : {2, 3}) {
+      if (budget == 3 && n > 100) continue;
+      const std::string label =
+          "chain" + std::to_string(n) + " budget=" + std::to_string(budget);
+      BruteForceOptions options;
+      options.engine = SearchEngine::kDijkstra;
+      options.threads = 1;
+      const ScheduleResult ref = sched.Run(budget, options);
+      ASSERT_TRUE(ref.feasible) << label;
+      EXPECT_EQ(ref.cost, 2) << label;
+      EXPECT_EQ(ref.schedule,
+                SlidingWindowSchedule(n, static_cast<NodeId>(budget)))
+          << label;
+      for (const SearchEngine engine :
+           {SearchEngine::kDijkstra, SearchEngine::kAStar,
+            SearchEngine::kBranchAndBound}) {
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          if (engine == SearchEngine::kDijkstra && threads == 1) continue;
+          options.engine = engine;
+          options.threads = threads;
+          const ScheduleResult got = sched.Run(budget, options);
+          const std::string run = label + " engine=" + ToString(engine) +
+                                  " threads=" + std::to_string(threads);
+          EXPECT_EQ(got.cost, ref.cost) << run;
+          EXPECT_EQ(got.schedule, ref.schedule) << run;
+          EXPECT_EQ(got.termination, Termination::kOptimal) << run;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

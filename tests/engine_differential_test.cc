@@ -1,8 +1,8 @@
 // Differential tests for the DESIGN.md §9 engine-independence contract:
 // dijkstra, astar, and bb return BIT-IDENTICAL results — same
 // feasibility, same cost, same canonical move sequence — at every thread
-// count AND through either state representation (the packed 64-bit fast
-// path or the wide interned one, force_wide_state). The
+// count AND at every state width that holds the graph (32/64/128/256 bits
+// per colour inline, and interned ids; tests/search_widths.h). The
 // informed engines prune and reorder the search, but they reconstruct
 // from a distance map whose optimal-path entries provably coincide with
 // the uninformed one.
@@ -26,6 +26,7 @@
 #include "robust/fault_injector.h"
 #include "schedulers/belady.h"
 #include "schedulers/brute_force.h"
+#include "tests/search_widths.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -35,6 +36,8 @@ namespace {
 using testing::ExpectValid;
 using testing::MakeChain;
 using testing::MakeDiamond;
+using testing::SearchWidth;
+using testing::WidthsFor;
 
 constexpr SearchEngine kAllEngines[] = {SearchEngine::kDijkstra,
                                         SearchEngine::kAStar,
@@ -51,8 +54,8 @@ void ExpectIdentical(const ScheduleResult& ref, const ScheduleResult& got,
       << got.schedule.ToString();
 }
 
-// Reference = dijkstra sequential; every other (engine, threads) pair
-// must reproduce it bit for bit.
+// Reference = dijkstra sequential at the dispatched width; every other
+// (engine, width, threads) triple must reproduce it bit for bit.
 void ExpectEnginesAgree(const Graph& graph, Weight budget,
                         const BruteForceOptions& base,
                         const std::string& label) {
@@ -69,36 +72,30 @@ void ExpectEnginesAgree(const Graph& graph, Weight budget,
     EXPECT_EQ(ref.termination, Termination::kOptimal) << label;
   }
   for (const SearchEngine engine : kAllEngines) {
-    for (const bool force_wide : {false, true}) {
+    for (const SearchWidth& width : WidthsFor(graph)) {
       for (const std::size_t threads : {1u, 2u, 8u}) {
-        if (engine == SearchEngine::kDijkstra && threads == 1 &&
-            !force_wide) {
-          continue;
-        }
         options.engine = engine;
         options.threads = threads;
-        options.force_wide_state = force_wide;
-        const ScheduleResult got = scheduler.Run(budget, options);
-        ExpectIdentical(ref, got,
-                        label + " engine=" + ToString(engine) +
-                            " threads=" + std::to_string(threads) +
-                            (force_wide ? " wide" : " packed"));
+        const ScheduleResult got = width.Run(graph, budget, options);
+        const std::string run = label + " engine=" + ToString(engine) +
+                                " threads=" + std::to_string(threads) + " " +
+                                width.name;
+        ExpectIdentical(ref, got, run);
         if (got.feasible) {
-          EXPECT_EQ(got.lower_bound, ref.cost) << label;
-          EXPECT_EQ(got.termination, Termination::kOptimal) << label;
+          EXPECT_EQ(got.lower_bound, ref.cost) << run;
+          EXPECT_EQ(got.termination, Termination::kOptimal) << run;
         }
       }
-    }
-    // CostOnly must agree with the full run's cost as well.
-    options.engine = engine;
-    options.threads = 1;
-    options.force_wide_state = false;
-    const Weight cost = scheduler.CostOnly(budget, options);
-    if (ref.feasible) {
-      EXPECT_EQ(cost, ref.cost) << label << " engine=" << ToString(engine);
-    } else {
-      EXPECT_GE(cost, kInfiniteCost)
-          << label << " engine=" << ToString(engine);
+      // CostOnly must agree with the full run's cost as well.
+      options.threads = 1;
+      const Weight cost = width.CostOnly(graph, budget, options);
+      if (ref.feasible) {
+        EXPECT_EQ(cost, ref.cost)
+            << label << " engine=" << ToString(engine) << " " << width.name;
+      } else {
+        EXPECT_GE(cost, kInfiniteCost)
+            << label << " engine=" << ToString(engine) << " " << width.name;
+      }
     }
   }
   if (ref.feasible) {
@@ -219,8 +216,8 @@ PebbleMasks ReplayPrefix(const Graph& graph, const Schedule& schedule,
 // 200+ differential cases: every FaultInjector mutant of a few base
 // schedules becomes a fresh search problem — the mutant's (possibly
 // tightened) budget plus the memory state reached just before the fault
-// site. All three engines must agree on all of them, sequential and
-// parallel alike.
+// site. All three engines must agree on all of them at every width,
+// sequential and parallel alike.
 TEST(EngineDifferential, FaultInjectorDerivedCases) {
   struct Base {
     std::string name;
@@ -253,16 +250,18 @@ TEST(EngineDifferential, FaultInjectorDerivedCases) {
       options.engine = SearchEngine::kDijkstra;
       options.threads = 1;
       const ScheduleResult ref = scheduler.Run(fault.budget, options);
-      for (const SearchEngine engine :
-           {SearchEngine::kAStar, SearchEngine::kBranchAndBound}) {
-        for (const std::size_t threads : {1u, 8u}) {
-          options.engine = engine;
-          options.threads = threads;
-          const ScheduleResult got = scheduler.Run(fault.budget, options);
-          ExpectIdentical(ref, got,
-                          base.name + " " + fault.label + " engine=" +
-                              ToString(engine) +
-                              " threads=" + std::to_string(threads));
+      for (const SearchEngine engine : kAllEngines) {
+        for (const SearchWidth& width : WidthsFor(base.graph)) {
+          for (const std::size_t threads : {1u, 8u}) {
+            options.engine = engine;
+            options.threads = threads;
+            const ScheduleResult got =
+                width.Run(base.graph, fault.budget, options);
+            ExpectIdentical(ref, got,
+                            base.name + " " + fault.label + " engine=" +
+                                ToString(engine) + " threads=" +
+                                std::to_string(threads) + " " + width.name);
+          }
         }
       }
       ++cases_run;

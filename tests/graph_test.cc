@@ -89,6 +89,22 @@ TEST(GraphBuilder, RejectsDuplicateEdge) {
   EXPECT_NE(r.error.find("duplicate edge"), std::string::npos);
 }
 
+// The twin of a duplicate need not follow it in the edge list: the check
+// runs on the sorted parent lists, so (0,2), (1,2), (0,2) is caught too.
+TEST(GraphBuilder, RejectsNonAdjacentDuplicateEdge) {
+  GraphBuilder b;
+  b.AddNode(1);
+  b.AddNode(1);
+  b.AddNode(1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 2);
+  b.AddEdge(0, 2);
+  const auto r = b.Build();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("duplicate edge (0,2)"), std::string::npos)
+      << r.error;
+}
+
 TEST(GraphBuilder, RejectsOutOfRangeEdge) {
   GraphBuilder b;
   b.AddNode(1);

@@ -1,6 +1,6 @@
 // Differential pin of the orbit root-move pruning and the certified root
 // bound (BruteForceOptions::prune_root_loads / root_lower_bound): across
-// engines, thread counts, and both state representations, results with
+// engines, thread counts, and every state width, results with
 // the options ON are bit-identical to the plain search — same cost, same
 // canonical schedule — because the canonical optimum's first move loads
 // its orbit's minimum source, which is never pruned, and the root bound
@@ -17,6 +17,7 @@
 #include "ganalysis/bounds.h"
 #include "ganalysis/canonical.h"
 #include "schedulers/brute_force.h"
+#include "tests/search_widths.h"
 #include "tests/test_helpers.h"
 
 namespace wrbpg {
@@ -75,7 +76,7 @@ TEST(OrbitPruneDifferential, BitIdenticalAcrossEnginesThreadsAndStates) {
     const std::vector<NodeId> pruned = PrunableSources(c.graph);
     const Weight cert_lb = BestCertifiedBound(c.graph, c.budget);
 
-    // The reference: sequential dijkstra, no pruning, packed state.
+    // The reference: sequential dijkstra, no pruning, dispatched width.
     BruteForceOptions plain;
     plain.engine = SearchEngine::kDijkstra;
     plain.threads = 1;
@@ -85,17 +86,16 @@ TEST(OrbitPruneDifferential, BitIdenticalAcrossEnginesThreadsAndStates) {
 
     for (const SearchEngine engine : engines) {
       for (const std::size_t threads : thread_counts) {
-        for (const bool wide : {false, true}) {
+        for (const testing::SearchWidth& width : testing::WidthsFor(c.graph)) {
           BruteForceOptions options;
           options.engine = engine;
           options.threads = threads;
-          options.force_wide_state = wide;
           options.prune_root_loads = &pruned;
           options.root_lower_bound = cert_lb;
-          const ScheduleResult result = scheduler.Run(c.budget, options);
-          const std::string label =
-              c.name + " engine=" + ToString(engine) + " threads=" +
-              std::to_string(threads) + (wide ? " wide" : " packed");
+          const ScheduleResult result = width.Run(c.graph, c.budget, options);
+          const std::string label = c.name + " engine=" + ToString(engine) +
+                                    " threads=" + std::to_string(threads) +
+                                    " " + width.name;
           ASSERT_TRUE(result.feasible) << label;
           EXPECT_EQ(result.cost, reference.cost) << label;
           EXPECT_EQ(result.schedule, reference.schedule) << label;

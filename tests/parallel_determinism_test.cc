@@ -25,6 +25,7 @@
 #include "robust/fault_injector.h"
 #include "schedulers/belady.h"
 #include "schedulers/brute_force.h"
+#include "tests/search_widths.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -159,21 +160,19 @@ TEST(ParallelDeterminism, BudgetSweepIdentical) {
 // Small waves run inline at any thread count (FanOutCutoff), so most
 // instances above never touch the pool. This one is chosen so that they
 // do: dijkstra on an ample-budget kary(2,3) tree grows waves past the
-// 8-thread cutoff, and 2 and 8 threads must still bit-match 1 thread on
-// both state representations.
+// 8-thread cutoff, and 2 and 8 threads must still bit-match 1 thread at
+// every state width.
 TEST(ParallelDeterminism, FannedWavesBitMatchSequential) {
   const TreeGraph tree = BuildPerfectTree(2, 3);
   const Weight budget = 2 * MinValidBudget(tree.graph);
-  const BruteForceScheduler scheduler(tree.graph);
-  for (const bool wide : {false, true}) {
-    const std::string label = wide ? "wide" : "packed";
+  for (const testing::SearchWidth& width : testing::WidthsFor(tree.graph)) {
+    const std::string label = width.name;
     BruteForceOptions options;
     options.engine = SearchEngine::kDijkstra;
-    options.force_wide_state = wide;
     options.threads = 1;
     SearchStats seq_stats;
     options.stats = &seq_stats;
-    const ScheduleResult seq = scheduler.Run(budget, options);
+    const ScheduleResult seq = width.Run(tree.graph, budget, options);
     ASSERT_TRUE(seq.feasible) << label;
     ASSERT_GE(seq_stats.max_frontier, FanOutCutoff(8)) << label;
     EXPECT_EQ(seq_stats.waves_fanned, 0u) << label;
@@ -181,7 +180,7 @@ TEST(ParallelDeterminism, FannedWavesBitMatchSequential) {
       options.threads = threads;
       SearchStats par_stats;
       options.stats = &par_stats;
-      const ScheduleResult par = scheduler.Run(budget, options);
+      const ScheduleResult par = width.Run(tree.graph, budget, options);
       const std::string run = label + " threads=" + std::to_string(threads);
       ExpectIdentical(seq, par, run);
       EXPECT_EQ(par_stats.expanded, seq_stats.expanded) << run;

@@ -147,7 +147,7 @@ TEST(RobustScheduler, DeadlineAnswersWithin100MsAndSoundGap) {
   const Graph dag = BuildRandomDag(rng, {.num_layers = 8,
                                          .nodes_per_layer = 8,
                                          .max_in_degree = 3});
-  ASSERT_EQ(dag.num_nodes(), 64u);  // far beyond the packed 32-node wall
+  ASSERT_EQ(dag.num_nodes(), 64u);  // twice the 32-bit state width
   const Weight budget = MinValidBudget(dag) + 32;
 
   RobustOptions options;

@@ -1,6 +1,7 @@
-// ScheduleService (src/service/): cache determinism across threads and
-// state representation, single-flight dedup, isomorph hits, byte-budget
-// eviction, batch dispatch, and the deadline admission policy.
+// ScheduleService (src/service/): cache determinism across threads,
+// single-flight dedup, isomorph hits, byte-budget eviction, batch
+// dispatch, the deadline admission policy, and counter consistency under
+// concurrent serves.
 #include <algorithm>
 #include <cstdint>
 #include <latch>
@@ -51,11 +52,12 @@ Graph PermuteGraph(const Graph& graph, std::uint64_t seed) {
 }
 
 // A cache hit must be bit-identical to a cold solve, and the cold solve
-// itself must be independent of thread count and state representation —
-// the two determinism contracts composed. Sweep threads {1, 2, 8} ×
-// {packed, wide}: every cold response and every subsequent hit must
-// carry the same schedule bytes, cost, and bound.
-TEST(ScheduleService, CacheHitsBitIdenticalAcrossThreadsAndRepresentation) {
+// itself must be independent of thread count — the two determinism
+// contracts composed. Sweep threads {1, 2, 8}: every cold response and
+// every subsequent hit must carry the same schedule bytes, cost, and
+// bound. (Width independence of the solve is pinned at the engine level,
+// engine_differential_test.)
+TEST(ScheduleService, CacheHitsBitIdenticalAcrossThreads) {
   const Graph graph = BuiltinOrDie("random:3,4,7");
   const Weight budget = MinValidBudget(graph) + 8;
   ServiceRequest request;
@@ -65,33 +67,29 @@ TEST(ScheduleService, CacheHitsBitIdenticalAcrossThreadsAndRepresentation) {
   std::string reference_bytes;
   Weight reference_cost = 0;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const bool wide : {false, true}) {
-      ServiceOptions options;
-      options.robust.threads = threads;
-      options.robust.exact_force_wide_state = wide;
-      ScheduleService service(options);
+    ServiceOptions options;
+    options.robust.threads = threads;
+    ScheduleService service(options);
 
-      const ServiceResponse cold = service.Serve(request);
-      ASSERT_TRUE(cold.ok);
-      EXPECT_EQ(cold.source, ServeSource::kSolved);
-      const std::string cold_bytes = ToBinary(cold.result.schedule);
-      if (reference_bytes.empty()) {
-        reference_bytes = cold_bytes;
-        reference_cost = cold.result.cost;
-      }
-      EXPECT_EQ(cold_bytes, reference_bytes)
-          << "threads=" << threads << " wide=" << wide;
-      EXPECT_EQ(cold.result.cost, reference_cost);
-
-      const ServiceResponse hit = service.Serve(request);
-      ASSERT_TRUE(hit.ok);
-      EXPECT_EQ(hit.source, ServeSource::kCacheHit);
-      EXPECT_EQ(ToBinary(hit.result.schedule), cold_bytes);
-      EXPECT_EQ(hit.result.cost, cold.result.cost);
-      EXPECT_EQ(hit.result.lower_bound, cold.result.lower_bound);
-      EXPECT_EQ(hit.result.termination, cold.result.termination);
-      EXPECT_EQ(hit.winner, cold.winner);
+    const ServiceResponse cold = service.Serve(request);
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(cold.source, ServeSource::kSolved);
+    const std::string cold_bytes = ToBinary(cold.result.schedule);
+    if (reference_bytes.empty()) {
+      reference_bytes = cold_bytes;
+      reference_cost = cold.result.cost;
     }
+    EXPECT_EQ(cold_bytes, reference_bytes) << "threads=" << threads;
+    EXPECT_EQ(cold.result.cost, reference_cost);
+
+    const ServiceResponse hit = service.Serve(request);
+    ASSERT_TRUE(hit.ok);
+    EXPECT_EQ(hit.source, ServeSource::kCacheHit);
+    EXPECT_EQ(ToBinary(hit.result.schedule), cold_bytes);
+    EXPECT_EQ(hit.result.cost, cold.result.cost);
+    EXPECT_EQ(hit.result.lower_bound, cold.result.lower_bound);
+    EXPECT_EQ(hit.result.termination, cold.result.termination);
+    EXPECT_EQ(hit.winner, cold.winner);
   }
 }
 
@@ -213,6 +211,50 @@ TEST(ScheduleService, ConcurrentIsoHitsLabelEntryOnce) {
   EXPECT_EQ(obs::ReadMetric("service.iso_labelings") - labelings_before, 1u);
   EXPECT_EQ(service.stats().iso_hits, kThreads);
   EXPECT_EQ(service.stats().solves, 1u);
+}
+
+// The event counters are lock-free tallies: however concurrent Serves
+// interleave, every well-formed request is counted once, as a byte hit,
+// an iso hit or a miss (single-flight followers count as misses).
+TEST(ScheduleService, ConcurrentServesKeepCountersConsistent) {
+  const Graph tree = BuiltinOrDie("kary:2,3");
+  const Graph tree_iso = PermuteGraph(tree, 0x5eed);
+  const Graph dwt = BuiltinOrDie("dwt:4,1");
+  const std::vector<ServiceRequest> pool = [&] {
+    std::vector<ServiceRequest> requests(3);
+    requests[0].graph = &tree;
+    requests[0].budget = MinValidBudget(tree) + 4;
+    requests[1].graph = &tree_iso;
+    requests[1].budget = MinValidBudget(tree) + 4;
+    requests[2].graph = &dwt;
+    requests[2].budget = MinValidBudget(dwt) + 2;
+    return requests;
+  }();
+  ScheduleService service;
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 24;
+  std::vector<std::size_t> failures(kThreads, 0);
+  {
+    std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          if (!service.Serve(pool[(t + i) % pool.size()]).ok) ++failures[t];
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, kThreads * kPerThread);
+  EXPECT_EQ(stats.requests, stats.cache_hits + stats.iso_hits + stats.misses);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GE(stats.misses, stats.solves);
 }
 
 TEST(ScheduleService, DeriveKeyIsIsoInvariant) {

@@ -6,10 +6,13 @@
 // the uninformed Dijkstra engine started from that configuration, and an
 // infinite bound must coincide with genuine infeasibility. Graphs small
 // enough are swept over ALL 4^n mask pairs; larger ones over a
-// deterministic random sample.
+// deterministic random sample. Every check runs at every width the
+// bound is compiled for (32/64/128/256 bits per colour and the
+// runtime-width form) that holds the graph, and the widths must agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -34,6 +37,89 @@ namespace {
 using testing::MakeChain;
 using testing::MakeDiamond;
 
+// One StateBound width behind a uint64-mask interface (graphs of at most
+// 64 nodes), so a check can loop over every width.
+class WidthBound {
+ public:
+  virtual ~WidthBound() = default;
+  virtual const char* name() const = 0;
+  virtual Weight Evaluate(std::uint64_t red, std::uint64_t blue) const = 0;
+  virtual Weight StartBound() const = 0;
+  // Prepare() a state, then price legal moves out of it incrementally.
+  virtual void Prepare(std::uint64_t red, std::uint64_t blue) = 0;
+  virtual Weight EvaluateMove(MoveType type, NodeId v) = 0;
+};
+
+template <typename Word, std::size_t kWords>
+class WidthBoundAt final : public WidthBound {
+ public:
+  using Bound = StateBound<Word, kWords>;
+  WidthBoundAt(const char* name, const Graph& graph, Weight budget,
+               std::uint64_t required_red, bool require_sinks_blue)
+      : name_(name),
+        bound_(graph, budget, required_red, require_sinks_blue),
+        ctx_(bound_.MakeCtx()),
+        red_(ToWords(0)),
+        blue_(ToWords(0)) {}
+
+  const char* name() const override { return name_; }
+  Weight Evaluate(std::uint64_t red, std::uint64_t blue) const override {
+    const Mask r = ToWords(red);
+    const Mask b = ToWords(blue);
+    return bound_.Evaluate(r.data(), b.data());
+  }
+  Weight StartBound() const override { return bound_.StartBound(); }
+  void Prepare(std::uint64_t red, std::uint64_t blue) override {
+    red_ = ToWords(red);
+    blue_ = ToWords(blue);
+    bound_.Prepare(red_.data(), blue_.data(), ctx_);
+  }
+  Weight EvaluateMove(MoveType type, NodeId v) override {
+    return bound_.EvaluateMove(ctx_, red_.data(), blue_.data(), type, v);
+  }
+
+ private:
+  using Mask = typename Bound::Mask;
+  Mask ToWords(std::uint64_t mask) const {
+    Mask words = ZeroMask<Word, kWords>(bound_.words());
+    for (NodeId v = 0; v < 64 && v / Bound::kBits < bound_.words(); ++v) {
+      if ((mask >> v) & 1) {
+        words[v / Bound::kBits] |= BasicGraphMasks<Word, kWords>::Bit(v);
+      }
+    }
+    return words;
+  }
+
+  const char* name_;
+  Bound bound_;
+  typename Bound::Ctx ctx_;
+  Mask red_;
+  Mask blue_;
+};
+
+// The bound at every width that holds `graph`, narrowest first.
+std::vector<std::unique_ptr<WidthBound>> EveryWidth(
+    const Graph& graph, Weight budget, std::uint64_t required_red = 0,
+    bool require_sinks_blue = true) {
+  std::vector<std::unique_ptr<WidthBound>> bounds;
+  const NodeId n = graph.num_nodes();
+  if (n <= 32) {
+    bounds.push_back(std::make_unique<WidthBoundAt<std::uint32_t, 1>>(
+        "w32", graph, budget, required_red, require_sinks_blue));
+  }
+  if (n <= 64) {
+    bounds.push_back(std::make_unique<WidthBoundAt<std::uint64_t, 1>>(
+        "w64", graph, budget, required_red, require_sinks_blue));
+  }
+  bounds.push_back(std::make_unique<WidthBoundAt<std::uint64_t, 2>>(
+      "w128", graph, budget, required_red, require_sinks_blue));
+  bounds.push_back(std::make_unique<WidthBoundAt<std::uint64_t, 4>>(
+      "w256", graph, budget, required_red, require_sinks_blue));
+  bounds.push_back(std::make_unique<WidthBoundAt<std::uint64_t, 0>>(
+      "runtime", graph, budget, required_red, require_sinks_blue));
+  return bounds;
+}
+
 Weight RedWeight(const Graph& graph, std::uint32_t red) {
   Weight sum = 0;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -55,10 +141,16 @@ Weight TrueRemainingCost(const BruteForceScheduler& scheduler, Weight budget,
 }
 
 void CheckPair(const Graph& graph, const BruteForceScheduler& scheduler,
-               const StateBound& bound, Weight budget, std::uint32_t red,
-               std::uint32_t blue, const std::string& label) {
+               const std::vector<std::unique_ptr<WidthBound>>& bounds,
+               Weight budget, std::uint32_t red, std::uint32_t blue,
+               const std::string& label) {
   if (RedWeight(graph, red) > budget) return;  // not a reachable state
-  const Weight h = bound.Evaluate(red, blue);
+  const Weight h = bounds.front()->Evaluate(red, blue);
+  for (const auto& bound : bounds) {
+    EXPECT_EQ(bound->Evaluate(red, blue), h)
+        << label << ": " << bound->name() << " disagrees with "
+        << bounds.front()->name() << " at red=" << red << " blue=" << blue;
+  }
   const Weight truth = TrueRemainingCost(scheduler, budget, red, blue);
   if (h >= kInfiniteCost) {
     EXPECT_GE(truth, kInfiniteCost)
@@ -74,14 +166,13 @@ void CheckGraph(const Graph& graph, Weight budget,
                 const std::string& label) {
   ASSERT_LE(graph.num_nodes(), 32u) << label;
   const BruteForceScheduler scheduler(graph);
-  const StateBound bound(graph, budget, /*required_red=*/0,
-                         /*require_sinks_blue=*/true);
+  const auto bounds = EveryWidth(graph, budget);
   const NodeId n = graph.num_nodes();
   if (n <= 6) {
     const std::uint32_t limit = 1u << n;
     for (std::uint32_t red = 0; red < limit; ++red) {
       for (std::uint32_t blue = 0; blue < limit; ++blue) {
-        CheckPair(graph, scheduler, bound, budget, red, blue, label);
+        CheckPair(graph, scheduler, bounds, budget, red, blue, label);
       }
     }
   } else {
@@ -91,7 +182,7 @@ void CheckGraph(const Graph& graph, Weight budget,
       const std::uint32_t red = static_cast<std::uint32_t>(rng.Next()) & mask;
       const std::uint32_t blue =
           static_cast<std::uint32_t>(rng.Next()) & mask;
-      CheckPair(graph, scheduler, bound, budget, red, blue, label);
+      CheckPair(graph, scheduler, bounds, budget, red, blue, label);
     }
   }
 }
@@ -133,18 +224,24 @@ TEST(StateBound, AdmissibleOnButterflySampled) {
 // At the canonical start state the bound reproduces Proposition 2.4.
 TEST(StateBound, StartBoundIsAlgorithmicLowerBound) {
   const Graph graph = MakeDiamond({2, 3, 1, 2, 4});
-  const StateBound bound(graph, MinValidBudget(graph) + 4, 0, true);
-  EXPECT_EQ(bound.StartBound(), AlgorithmicLowerBound(graph));
+  const Weight budget = MinValidBudget(graph) + 4;
+  for (const auto& bound : EveryWidth(graph, budget)) {
+    EXPECT_EQ(bound->StartBound(), AlgorithmicLowerBound(graph))
+        << bound->name();
+  }
+  EXPECT_EQ(StartStateBound(graph, budget), AlgorithmicLowerBound(graph));
 }
 
 // Once every sink is blue nothing more is owed, whatever else happened.
 TEST(StateBound, GoalStatesCostZero) {
   const Graph graph = MakeDiamond();
-  const StateBound bound(graph, MinValidBudget(graph), 0, true);
   std::uint32_t sinks = 0;
   for (const NodeId s : graph.sinks()) sinks |= 1u << s;
-  for (std::uint32_t red = 0; red < (1u << graph.num_nodes()); ++red) {
-    EXPECT_EQ(bound.Evaluate(red, sinks | 0x3u), 0u) << "red=" << red;
+  for (const auto& bound : EveryWidth(graph, MinValidBudget(graph))) {
+    for (std::uint32_t red = 0; red < (1u << graph.num_nodes()); ++red) {
+      EXPECT_EQ(bound->Evaluate(red, sinks | 0x3u), 0u)
+          << bound->name() << " red=" << red;
+    }
   }
 }
 
@@ -152,9 +249,10 @@ TEST(StateBound, GoalStatesCostZero) {
 // bound must flag the state as dead rather than underestimate it.
 TEST(StateBound, DetectsUnloadableSourceAsDead) {
   const Graph graph = MakeChain(3);
-  const StateBound bound(graph, MinValidBudget(graph) + 2, 0, true);
   // Nothing red, nothing blue: source 0 is required but unreachable.
-  EXPECT_GE(bound.Evaluate(0, 0), kInfiniteCost);
+  for (const auto& bound : EveryWidth(graph, MinValidBudget(graph) + 2)) {
+    EXPECT_GE(bound->Evaluate(0, 0), kInfiniteCost) << bound->name();
+  }
 }
 
 // A needed compute whose Prop 2.3 footprint exceeds the budget can never
@@ -164,58 +262,25 @@ TEST(StateBound, DetectsOverweightComputeAsDead) {
   std::uint32_t sources = 0;
   for (const NodeId s : graph.sources()) sources |= 1u << s;
   // Budget below w4 + w2 + w3 = 12: the sink's compute can never fire.
-  const StateBound bound(graph, 11, 0, true);
-  EXPECT_GE(bound.Evaluate(0, sources), kInfiniteCost);
-}
-
-// The word-span Evaluate overload (the >32-node wide path) must agree
-// with the packed one bit for bit wherever both are defined. Random
-// (red, blue) pairs over several <= 32-node graphs pin the differential.
-TEST(StateBound, WideEvaluateMatchesPackedOnRandomPairs) {
-  struct Case {
-    std::string name;
-    Graph graph;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"diamond", MakeDiamond({2, 3, 1, 2, 4})});
-  cases.push_back({"chain5", MakeChain(5, 2)});
-  cases.push_back({"dwt(4,2)", BuildDwt(4, 2).graph});
-  cases.push_back({"butterfly(4)", BuildButterfly(4).graph});
-
-  Rng rng(0x51deb0u);
-  for (const Case& c : cases) {
-    const NodeId n = c.graph.num_nodes();
-    const std::uint32_t mask =
-        (n >= 32 ? ~0u : (1u << n) - 1u);
-    for (const Weight budget :
-         {MinValidBudget(c.graph), MinValidBudget(c.graph) + 3}) {
-      const StateBound bound(c.graph, budget, /*required_red=*/0,
-                             /*require_sinks_blue=*/true);
-      StateBound::WideScratch scratch;
-      for (int i = 0; i < 500; ++i) {
-        const std::uint32_t red =
-            static_cast<std::uint32_t>(rng.Next()) & mask;
-        const std::uint32_t blue =
-            static_cast<std::uint32_t>(rng.Next()) & mask;
-        const std::uint64_t wide_red[1] = {red};
-        const std::uint64_t wide_blue[1] = {blue};
-        EXPECT_EQ(bound.Evaluate(red, blue),
-                  bound.Evaluate(wide_red, wide_blue, scratch))
-            << c.name << " budget=" << budget << " red=" << red
-            << " blue=" << blue;
-      }
-    }
+  for (const auto& bound : EveryWidth(graph, 11)) {
+    EXPECT_GE(bound->Evaluate(0, sources), kInfiniteCost) << bound->name();
   }
 }
 
-// Past 32 nodes only the wide path exists; StartBound must still
-// reproduce Proposition 2.4 (and flag a sub-footprint budget as dead).
+// Past 32 nodes StartBound must still reproduce Proposition 2.4 at every
+// width that holds the graph (and flag a sub-footprint budget as dead).
 TEST(StateBound, StartBoundBeyond32Nodes) {
   const Graph graph = MakeChain(40, 2);
-  const StateBound bound(graph, MinValidBudget(graph) + 2, 0, true);
-  EXPECT_EQ(bound.StartBound(), AlgorithmicLowerBound(graph));
-  const StateBound starved(graph, 1, 0, true);
-  EXPECT_GE(starved.StartBound(), kInfiniteCost);
+  const Weight budget = MinValidBudget(graph) + 2;
+  for (const auto& bound : EveryWidth(graph, budget)) {
+    EXPECT_EQ(bound->StartBound(), AlgorithmicLowerBound(graph))
+        << bound->name();
+  }
+  EXPECT_EQ(StartStateBound(graph, budget), AlgorithmicLowerBound(graph));
+  for (const auto& starved : EveryWidth(graph, 1)) {
+    EXPECT_GE(starved->StartBound(), kInfiniteCost) << starved->name();
+  }
+  EXPECT_GE(StartStateBound(graph, 1), kInfiniteCost);
 }
 
 // ---- Incremental-vs-fresh differential (DESIGN.md §14) ----
@@ -224,9 +289,9 @@ TEST(StateBound, StartBoundBeyond32Nodes) {
 // can derive incrementally: Prepare() caches the parent's closure and
 // EvaluateMove() applies the per-move deltas of the state_bound.h move
 // table. These tests pin EvaluateMove ≡ fresh Evaluate for EVERY legal
-// move from every (red, blue) pair of several small graphs — packed and
-// word-span paths both — so the deltas (including the M3 invariance
-// proof) can never drift from the ground-truth walk.
+// move from every (red, blue) pair of several small graphs at every width,
+// so the deltas (including the M3 invariance proof) can never drift from
+// the ground-truth walk.
 
 constexpr MoveType kAllMoveTypes[] = {MoveType::kLoad, MoveType::kStore,
                                       MoveType::kCompute, MoveType::kDelete};
@@ -234,9 +299,7 @@ constexpr MoveType kAllMoveTypes[] = {MoveType::kLoad, MoveType::kStore,
 void CheckIncrementalGraph(const Graph& graph, Weight budget,
                            const std::string& label) {
   ASSERT_LE(graph.num_nodes(), 32u) << label;
-  const StateBound bound(graph, budget, /*required_red=*/0,
-                         /*require_sinks_blue=*/true);
-  StateBound::WideScratch scratch;
+  const auto bounds = EveryWidth(graph, budget);
   const NodeId n = graph.num_nodes();
   std::uint32_t sources = 0;
   for (const NodeId s : graph.sources()) sources |= 1u << s;
@@ -248,12 +311,7 @@ void CheckIncrementalGraph(const Graph& graph, Weight budget,
   auto check_pair = [&](std::uint32_t red, std::uint32_t blue) {
     const Weight red_weight = RedWeight(graph, red);
     if (red_weight > budget) return;  // not a reachable state
-    StateBound::PackedCtx ctx;
-    bound.Prepare(red, blue, ctx);
-    const std::uint64_t wred[1] = {red};
-    const std::uint64_t wblue[1] = {blue};
-    StateBound::WideCtx wctx;
-    bound.Prepare(wred, wblue, wctx, scratch);
+    for (const auto& bound : bounds) bound->Prepare(red, blue);
     for (NodeId v = 0; v < n; ++v) {
       const std::uint32_t bit = 1u << v;
       const Weight w = graph.weight(v);
@@ -282,17 +340,12 @@ void CheckIncrementalGraph(const Graph& graph, Weight budget,
             break;
         }
         if (!legal) continue;  // EvalMove* preconditions require legality
-        EXPECT_EQ(bound.EvaluateMove(ctx, type, v),
-                  bound.Evaluate(nred, nblue))
-            << label << ": packed " << ToString(Move{type, v})
-            << " from red=" << red << " blue=" << blue;
-        const std::uint64_t wnred[1] = {nred};
-        const std::uint64_t wnblue[1] = {nblue};
-        const Weight inc =
-            bound.EvaluateMove(wctx, wred, wblue, type, v, scratch);
-        EXPECT_EQ(inc, bound.Evaluate(wnred, wnblue, scratch))
-            << label << ": wide " << ToString(Move{type, v})
-            << " from red=" << red << " blue=" << blue;
+        for (const auto& bound : bounds) {
+          EXPECT_EQ(bound->EvaluateMove(type, v), bound->Evaluate(nred, nblue))
+              << label << ": " << bound->name() << " "
+              << ToString(Move{type, v}) << " from red=" << red
+              << " blue=" << blue;
+        }
       }
     }
   };
@@ -344,16 +397,16 @@ TEST(StateBoundIncremental, MatchesFreshOnDwtSampled) {
   CheckIncrementalGraph(dwt.graph, lo + 2, "dwt(4,2)");
 }
 
-// Beyond 32 nodes only the word-span path exists, and the searcher's wide
-// states come from real (possibly perturbed) executions rather than
+// Beyond 32 nodes the search runs at 64 bits per colour and wider, and
+// its states come from real (possibly perturbed) executions rather than
 // uniform masks. Replay a valid 40-node chain schedule plus a
 // FaultInjector corpus of near-valid mutants, collect every distinct
-// prefix configuration (200+ of them), and pin wide EvaluateMove ≡ fresh
-// wide Evaluate for every legal move out of each.
+// prefix configuration (200+ of them), and pin EvaluateMove ≡ fresh
+// Evaluate for every legal move out of each, at every width that holds
+// the graph.
 TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
   const Graph graph = MakeChain(40, 2);
   const Weight budget = MinValidBudget(graph) + 2;
-  ASSERT_EQ(StateBound(graph, budget, 0, true).WordsPerColor(), 1u);
 
   // Load the source, then walk the chain: compute each node, store it,
   // and drop its parent. Valid, touches every move type, and leaves a
@@ -394,17 +447,15 @@ TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
     return false;
   };
 
-  StateBound::WideScratch scratch;
   std::set<std::tuple<Weight, std::uint64_t, std::uint64_t>> seen;
   std::size_t states_checked = 0;
 
-  auto check_state = [&](const StateBound& bound, Weight b, std::uint64_t red,
-                         std::uint64_t blue, Weight red_weight,
-                         const std::string& label) {
+  auto check_state = [&](const std::vector<std::unique_ptr<WidthBound>>& bounds,
+                         Weight b, std::uint64_t red, std::uint64_t blue,
+                         Weight red_weight, const std::string& label) {
     if (!seen.insert({b, red, blue}).second) return;
     ++states_checked;
-    StateBound::WideCtx ctx;
-    bound.Prepare(&red, &blue, ctx, scratch);
+    for (const auto& bound : bounds) bound->Prepare(red, blue);
     for (NodeId v = 0; v < n; ++v) {
       const std::uint64_t bit = 1ull << v;
       for (const MoveType type : kAllMoveTypes) {
@@ -418,11 +469,12 @@ TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
         } else {
           nred |= bit;
         }
-        const Weight inc =
-            bound.EvaluateMove(ctx, &red, &blue, type, v, scratch);
-        EXPECT_EQ(inc, bound.Evaluate(&nred, &nblue, scratch))
-            << label << ": " << ToString(Move{type, v}) << " from red=" << red
-            << " blue=" << blue;
+        for (const auto& bound : bounds) {
+          EXPECT_EQ(bound->EvaluateMove(type, v), bound->Evaluate(nred, nblue))
+              << label << ": " << bound->name() << " "
+              << ToString(Move{type, v}) << " from red=" << red
+              << " blue=" << blue;
+        }
       }
     }
   };
@@ -430,12 +482,11 @@ TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
   // Replay one (schedule, budget) pair, checking every prefix state and
   // stopping at the first illegal move (mutants are near-valid, not valid).
   auto replay = [&](const Schedule& sched, Weight b, const std::string& label) {
-    const StateBound bound(graph, b, /*required_red=*/0,
-                           /*require_sinks_blue=*/true);
+    const auto bounds = EveryWidth(graph, b);
     std::uint64_t red = 0;
     std::uint64_t blue = sources;
     Weight red_weight = 0;
-    check_state(bound, b, red, blue, red_weight, label);
+    check_state(bounds, b, red, blue, red_weight, label);
     for (std::size_t i = 0; i < sched.size(); ++i) {
       const Move& m = sched[i];
       if (m.node >= n || !legal(red, blue, red_weight, b, m.type, m.node)) {
@@ -456,7 +507,7 @@ TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
           red_weight -= graph.weight(m.node);
           break;
       }
-      check_state(bound, b, red, blue, red_weight, label);
+      check_state(bounds, b, red, blue, red_weight, label);
     }
   };
 
@@ -473,11 +524,12 @@ TEST(StateBoundIncremental, WideMatchesFreshOnFaultInjectedStates) {
 TEST(StateBound, RequiredRedChargesLoads) {
   const Graph graph = MakeChain(3, 2);
   std::uint32_t all = (1u << graph.num_nodes()) - 1u;
-  const StateBound bound(graph, MinValidBudget(graph) + 2,
-                         /*required_red=*/1u << 0,
-                         /*require_sinks_blue=*/false);
   // All blue, nothing red: node 0 (a source) must be re-loaded, cost 2.
-  EXPECT_EQ(bound.Evaluate(0, all), 2u);
+  for (const auto& bound : EveryWidth(graph, MinValidBudget(graph) + 2,
+                                      /*required_red=*/1u << 0,
+                                      /*require_sinks_blue=*/false)) {
+    EXPECT_EQ(bound->Evaluate(0, all), 2u) << bound->name();
+  }
 }
 
 }  // namespace
