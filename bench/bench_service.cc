@@ -12,13 +12,18 @@
 //     p50 speedup,
 //   * single-flight / batch dedup savings (concurrent identical requests
 //     through Serve, and an identical-request ServeBatch),
-//   * bit-identity of cache hits against independent cold solves.
+//   * bit-identity of cache hits against independent cold solves,
+//   * repeated relabelings: p50 of the first iso hit of a labeling, of
+//     the same labeling asked again (served from the memoized answer)
+//     and of exact hits, and a fresh-labeling stream (every request a
+//     new relabeling, where memoizing cannot pay) with its evictions.
 //
 // Results go to BENCH_service.json (--json <path>) in the stable
 // wrbpg-bench-service-v1 schema; stdout gets the human summary. Exit 1
 // when an acceptance bound fails (hit rate >= 0.8, p50 speedup >= 50x,
-// bit-identity) so CI can gate on it. --requests scales the stream
-// (default 120, minimum 2x the pool size).
+// bit-identity, every repeated relabeling an exact hit with the first
+// reply's schedule bytes) so CI can gate on it. --requests scales the
+// stream (default 120, minimum 2x the pool size).
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -130,8 +135,12 @@ int main(int argc, char** argv) {
   ScheduleService service;
   std::vector<double> cold_ms;
   std::vector<double> cached_ms;
+  // Each instance's first reply: a cold solve, or for a permuted isomorph
+  // the verified renaming that later requests for it are served from.
+  std::vector<ServiceResponse> first_reply(pool.size());
   for (std::int64_t r = 0; r < num_requests; ++r) {
-    const Instance& inst = pool[static_cast<std::size_t>(r) % pool.size()];
+    const std::size_t index = static_cast<std::size_t>(r) % pool.size();
+    const Instance& inst = pool[index];
     ServiceRequest request;
     request.graph = &inst.graph;
     request.budget = inst.budget;
@@ -140,6 +149,9 @@ int main(int argc, char** argv) {
       std::cerr << "error: request " << r << " (" << inst.label
                 << ") failed: " << response.error << "\n";
       return 1;
+    }
+    if (static_cast<std::size_t>(r) < pool.size()) {
+      first_reply[index] = response;
     }
     if (response.source == ServeSource::kSolved) {
       cold_ms.push_back(response.latency_ms);
@@ -159,11 +171,16 @@ int main(int argc, char** argv) {
   const double cached_p99 = Percentile(cached_ms, 99);
   const double speedup_p50 = cached_p50 > 0 ? cold_p50 / cached_p50 : 0;
 
-  // Phase 2: bit-identity. Every cached answer for a byte-identical
-  // request must equal an independent cold solve — schedule bytes, cost,
-  // bound, termination, the lot.
+  // Phase 2: bit-identity. Every cached answer for a request with the
+  // same weights and edges is the reply that request's graph first got:
+  // for a solved instance that equals an independent cold solve —
+  // schedule bytes, cost, bound, termination, the lot; for a permuted
+  // isomorph it is the verified renaming it received on its iso hit,
+  // whose cost equals the cold solve's (the node labeling follows the
+  // request, so the bytes need not).
   bool bit_identical = true;
-  for (const Instance& inst : pool) {
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const Instance& inst = pool[i];
     ServiceRequest request;
     request.graph = &inst.graph;
     request.budget = inst.budget;
@@ -172,17 +189,17 @@ int main(int argc, char** argv) {
     cold_options.cache_bytes = 0;  // cache disabled: always a cold solve
     ScheduleService cold_service(cold_options);
     const ServiceResponse cold = cold_service.Serve(request);
-    if (warm.source == ServeSource::kCacheHit) {
-      if (ToBinary(warm.result.schedule) != ToBinary(cold.result.schedule) ||
-          warm.result.cost != cold.result.cost ||
-          warm.result.lower_bound != cold.result.lower_bound) {
-        std::cerr << "BIT-IDENTITY VIOLATION: " << inst.label << "\n";
-        bit_identical = false;
-      }
-    } else if (warm.result.cost != cold.result.cost) {
-      // Isomorph hits guarantee equal cost (verified renaming), not
-      // equal bytes — the node labeling follows the request.
-      std::cerr << "ISO COST MISMATCH: " << inst.label << "\n";
+    const ServiceResponse& first = first_reply[i];
+    const bool solved_first = first.source == ServeSource::kSolved;
+    const ServiceResponse& reference = solved_first ? cold : first;
+    if (warm.source != ServeSource::kCacheHit ||
+        ToBinary(warm.result.schedule) !=
+            ToBinary(reference.result.schedule) ||
+        warm.result.cost != cold.result.cost ||
+        warm.result.lower_bound != reference.result.lower_bound) {
+      std::cerr << "BIT-IDENTITY VIOLATION: " << inst.label << " ("
+                << (solved_first ? "vs cold solve" : "vs first iso reply")
+                << ")\n";
       bit_identical = false;
     }
   }
@@ -222,10 +239,96 @@ int main(int argc, char** argv) {
     batch_ok = batch_ok && response.ok;
   }
 
+  // Phase 4: repeated relabelings. Each recurring graph is solved once,
+  // then asked for under kRelabelings fixed relabelings, kRounds times
+  // each. The first request of a labeling is an iso hit; every later one
+  // must be an exact hit returning the first reply's schedule bytes.
+  constexpr std::size_t kRelabelings = 4;
+  constexpr std::size_t kRounds = 5;
+  ScheduleService relabel_service;
+  std::vector<double> first_iso_ms;
+  std::vector<double> repeat_ms;
+  std::vector<double> exact_ms;
+  bool repeats_exact = true;
+  std::vector<Graph> relabeled;
+  std::vector<std::size_t> relabeled_of;  // pool index of relabeled[i]
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t r = 0; r < kRelabelings; ++r) {
+      relabeled.push_back(PermuteGraph(pool[i].graph, 0xab0 + 16 * i + r));
+      relabeled_of.push_back(i);
+    }
+  }
+  std::vector<std::string> first_bytes(relabeled.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ServiceRequest request;
+    request.graph = &pool[i].graph;
+    request.budget = pool[i].budget;
+    (void)relabel_service.Serve(request);
+  }
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t j = 0; j < relabeled.size(); ++j) {
+      const Instance& base = pool[relabeled_of[j]];
+      ServiceRequest request;
+      request.graph = &relabeled[j];
+      request.budget = base.budget;
+      const ServiceResponse response = relabel_service.Serve(request);
+      const std::string bytes = ToBinary(response.result.schedule);
+      if (round == 0) {
+        first_bytes[j] = bytes;
+        if (response.source == ServeSource::kIsoCacheHit) {
+          first_iso_ms.push_back(response.latency_ms);
+        }
+      } else if (response.source != ServeSource::kCacheHit ||
+                 bytes != first_bytes[j] || !response.ok) {
+        std::cerr << "RELABELING NOT SERVED EXACTLY: " << base.label
+                  << " labeling " << j << " round " << round << "\n";
+        repeats_exact = false;
+      } else {
+        repeat_ms.push_back(response.latency_ms);
+      }
+      request.graph = &base.graph;
+      const ServiceResponse exact = relabel_service.Serve(request);
+      if (exact.source == ServeSource::kCacheHit) {
+        exact_ms.push_back(exact.latency_ms);
+      }
+    }
+  }
+  const ServiceStats relabel = relabel_service.stats();
+
+  // Phase 5: a fresh-labeling stream. Every request is a relabeling never
+  // seen before, so each memoized answer is dead weight in the cache; a
+  // 1 MiB cache makes that cost visible as evictions.
+  constexpr std::size_t kFreshRequests = 2000;
+  ServiceOptions fresh_options;
+  fresh_options.cache_bytes = 1u << 20;
+  ScheduleService fresh_service(fresh_options);
+  std::vector<double> fresh_ms;
+  bool fresh_ok = true;
+  for (std::size_t r = 0; r < kFreshRequests; ++r) {
+    const Instance& base = pool[r % specs.size()];
+    const Graph graph =
+        r < specs.size() ? base.graph : PermuteGraph(base.graph, 0xf00d + r);
+    ServiceRequest request;
+    request.graph = &graph;
+    request.budget = base.budget;
+    const ServiceResponse response = fresh_service.Serve(request);
+    fresh_ok = fresh_ok && response.ok;
+    if (r >= specs.size()) fresh_ms.push_back(response.latency_ms);
+  }
+  const ServiceStats fresh = fresh_service.stats();
+
+  const double first_iso_p50 = Percentile(first_iso_ms, 50);
+  const double repeat_p50 = Percentile(repeat_ms, 50);
+  const double exact_p50 = Percentile(exact_ms, 50);
+
   const bool pass_hit_rate = hit_rate >= 0.8;
   const bool pass_speedup = speedup_p50 >= 50;
+  const bool pass_relabel = repeats_exact &&
+                            first_iso_ms.size() == relabeled.size() &&
+                            relabel.solves == specs.size();
   const bool pass = pass_hit_rate && pass_speedup && bit_identical &&
-                    batch_ok && flight.solves <= 1 && batched.solves <= 1;
+                    batch_ok && flight.solves <= 1 && batched.solves <= 1 &&
+                    pass_relabel && fresh_ok;
 
   obs::Json doc = obs::Json::Object();
   doc.Set("schema", "wrbpg-bench-service-v1");
@@ -256,6 +359,28 @@ int main(int argc, char** argv) {
   dedup.Set("batch_solves", batched.solves);
   dedup.Set("batch_shared", batched.dedup_shared);
   doc.Set("dedup", std::move(dedup));
+  obs::Json relabel_doc = obs::Json::Object();
+  relabel_doc.Set("labelings", static_cast<std::int64_t>(relabeled.size()));
+  relabel_doc.Set("rounds", static_cast<std::int64_t>(kRounds));
+  relabel_doc.Set("first_iso_p50_ms", first_iso_p50);
+  relabel_doc.Set("repeat_p50_ms", repeat_p50);
+  relabel_doc.Set("exact_p50_ms", exact_p50);
+  relabel_doc.Set("iso_hits", relabel.iso_hits);
+  relabel_doc.Set("memo_inserts", relabel.iso_memo_inserts);
+  relabel_doc.Set("solves", relabel.solves);
+  relabel_doc.Set("repeats_exact", repeats_exact);
+  doc.Set("relabel", std::move(relabel_doc));
+  obs::Json fresh_doc = obs::Json::Object();
+  fresh_doc.Set("requests", static_cast<std::int64_t>(kFreshRequests));
+  fresh_doc.Set("cache_bytes",
+                static_cast<std::int64_t>(fresh_options.cache_bytes));
+  fresh_doc.Set("p50_ms", Percentile(fresh_ms, 50));
+  fresh_doc.Set("iso_hits", fresh.iso_hits);
+  fresh_doc.Set("memo_inserts", fresh.iso_memo_inserts);
+  fresh_doc.Set("solves", fresh.solves);
+  fresh_doc.Set("evictions", fresh.cache_evictions);
+  fresh_doc.Set("ok", fresh_ok);
+  doc.Set("fresh_labelings", std::move(fresh_doc));
   doc.Set("bit_identical", bit_identical);
   doc.Set("pass", pass);
 
@@ -281,6 +406,13 @@ int main(int argc, char** argv) {
             << batched.solves << " solve(s), " << batched.dedup_shared
             << " shared\n"
             << "  bit-identical: " << (bit_identical ? "yes" : "NO") << "\n"
+            << "  relabelings:   " << relabeled.size() << " x " << kRounds
+            << " rounds, p50 first-iso / repeat / exact " << first_iso_p50
+            << " / " << repeat_p50 << " / " << exact_p50 << " ms, repeats "
+            << (repeats_exact ? "exact" : "NOT EXACT") << "\n"
+            << "  fresh stream:  " << kFreshRequests << " new labelings, "
+            << fresh.iso_hits << " iso hits, " << fresh.solves
+            << " solve(s), " << fresh.cache_evictions << " evictions\n"
             << "  [json] " << json_path << "\n"
             << (pass ? "PASS" : "FAIL") << "\n";
   return pass ? 0 : 1;

@@ -198,6 +198,21 @@ std::string ToBinary(const Schedule& schedule) {
   return out;
 }
 
+std::size_t BinarySize(const Graph& graph) {
+  std::size_t names = 0;
+  bool any_name = false;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    names += 4 + graph.name(v).size();
+    any_name = any_name || !graph.name(v).empty();
+  }
+  return kHeaderSize + 8 + 8 * std::size_t{graph.num_nodes()} + 1 +
+         (any_name ? names : 0) + 8 * graph.num_edges() + kChecksumSize;
+}
+
+std::size_t BinarySize(const Schedule& schedule) {
+  return kHeaderSize + 4 + 5 * schedule.size() + kChecksumSize;
+}
+
 GraphParseResult ParseGraphBinary(std::string_view bytes) {
   GraphParseResult result;
   std::string_view payload;
@@ -241,10 +256,9 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
     return fail("names flag must be 0 or 1, got " +
                 std::to_string(names_present));
   }
-  GraphBuilder builder;
-  for (std::uint32_t v = 0; v < num_nodes; ++v) {
-    std::string name;
-    if (names_present == 1) {
+  std::vector<std::string> names(num_nodes);
+  if (names_present == 1) {
+    for (std::uint32_t v = 0; v < num_nodes; ++v) {
       std::uint32_t len = 0;
       if (!in.ReadU32(len)) return fail("truncated name table");
       if (len > kMaxNameLen) {
@@ -253,10 +267,18 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
       }
       std::string_view raw;
       if (!in.ReadBytes(len, raw)) return fail("truncated name bytes");
-      name.assign(raw);
+      names[v].assign(raw);
     }
-    builder.AddNode(weights[v], std::move(name));
   }
+  // Edges go straight into the child CSR. ToBinary writes them grouped by
+  // ascending parent, so the e-th edge is the e-th child entry and one
+  // pass fills the table; a stream in any other order is re-read below
+  // and placed by counting sort.
+  const std::size_t edges_at = in.offset();
+  std::vector<std::size_t> child_offsets(num_nodes + 1, 0);
+  std::vector<NodeId> child_data(num_edges);
+  bool grouped = true;
+  std::uint32_t last_parent = 0;
   for (std::uint32_t e = 0; e < num_edges; ++e) {
     std::uint32_t u = 0;
     std::uint32_t v = 0;
@@ -266,14 +288,34 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
                   ") references an undeclared node");
     }
     if (u == v) return fail("self-loop on node " + std::to_string(u));
-    // Duplicate edges are rejected once, by GraphBuilder::Build below.
-    builder.AddEdge(u, v);
+    ++child_offsets[u + 1];
+    child_data[e] = v;
+    grouped = grouped && u >= last_parent;
+    last_parent = u;
   }
   if (in.remaining() != 0) {
     return fail(std::to_string(in.remaining()) +
                 " trailing payload bytes after the edge table");
   }
-  auto built = builder.Build();
+  for (std::uint32_t v = 0; v < num_nodes; ++v) {
+    child_offsets[v + 1] += child_offsets[v];
+  }
+  if (!grouped) {
+    Reader again(payload.substr(edges_at));
+    std::vector<std::size_t> fill(child_offsets.begin(),
+                                  child_offsets.end() - 1);
+    for (std::uint32_t e = 0; e < num_edges; ++e) {
+      std::uint32_t u = 0;
+      std::uint32_t v = 0;
+      again.ReadU32(u);
+      again.ReadU32(v);
+      child_data[fill[u]++] = v;
+    }
+  }
+  // Duplicate edges, isolated nodes and cycles: Build's own checks.
+  auto built = GraphBuilder::BuildFromChildLists(
+      std::move(weights), std::move(names), std::move(child_offsets),
+      std::move(child_data), GraphBuilder::BuildOptions{});
   if (!built.ok) {
     result.error = built.error;
     return result;

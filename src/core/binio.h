@@ -22,10 +22,13 @@
 // structured parse error, never UB — declared counts are validated
 // against the remaining byte budget BEFORE any allocation, so a hostile
 // 50-byte input claiming 2^31 nodes is rejected without touching memory.
-// Graph decoding runs the same GraphBuilder validation as the text
-// parser, so the two formats accept exactly the same set of graphs.
+// Graph decoding reads the edge table straight into the child CSR and
+// finishes through GraphBuilder::BuildFromChildLists, the second half of
+// the Build the text parser uses, so the two formats accept exactly the
+// same set of graphs.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -47,6 +50,9 @@ bool LooksLikeBinary(std::string_view bytes);
 // Encoders. Output always round-trips through the matching parser.
 std::string ToBinary(const Graph& graph);
 std::string ToBinary(const Schedule& schedule);
+// ToBinary(x).size(), computed without encoding.
+std::size_t BinarySize(const Graph& graph);
+std::size_t BinarySize(const Schedule& schedule);
 
 // Decoders; result types shared with the text parsers (serialize.h).
 // `error` is a one-line structured reason on failure ("offset N: ...").

@@ -60,6 +60,15 @@ class Graph {
   // Sum of node weights over all of V.
   Weight total_weight() const noexcept { return total_weight_; }
 
+  // True when `other` has the same weights and the same edges under the
+  // same node ids; names are not compared. O(n + m) word compares: parent
+  // lists are sorted, so equal edge sets mean equal CSR arrays.
+  bool SameWeightsAndEdges(const Graph& other) const {
+    return weights_ == other.weights_ &&
+           parent_offsets_ == other.parent_offsets_ &&
+           parent_data_ == other.parent_data_;
+  }
+
  private:
   friend class GraphBuilder;
 

@@ -40,54 +40,73 @@ GraphBuilder::BuildResult GraphBuilder::Build(
     }
   }
 
-  Graph g;
-  g.weights_ = weights_;
-  g.names_ = names_;
-  g.total_weight_ = 0;
-  for (Weight w : weights_) g.total_weight_ += w;
+  // Child lists by counting sort over the edge list, in insertion order.
+  std::vector<std::size_t> child_offsets(n + 1, 0);
+  for (const auto& edge : edges_) ++child_offsets[edge.first + 1];
+  for (NodeId v = 0; v < n; ++v) child_offsets[v + 1] += child_offsets[v];
+  std::vector<NodeId> child_data(edges_.size());
+  std::vector<std::size_t> fill(child_offsets.begin(), child_offsets.end() - 1);
+  for (const auto& [u, v] : edges_) child_data[fill[u]++] = v;
+  return BuildFromChildLists(weights_, names_, std::move(child_offsets),
+                             std::move(child_data), options);
+}
 
-  // CSR adjacency via counting sort over the edge list.
+GraphBuilder::BuildResult GraphBuilder::BuildFromChildLists(
+    std::vector<Weight> weights, std::vector<std::string> names,
+    std::vector<std::size_t> child_offsets, std::vector<NodeId> child_data,
+    const BuildOptions& options) {
+  BuildResult result;
+  Graph g;
+  g.weights_ = std::move(weights);
+  g.names_ = std::move(names);
+  g.child_offsets_ = std::move(child_offsets);
+  g.child_data_ = std::move(child_data);
+  const auto n = static_cast<NodeId>(g.weights_.size());
+  g.total_weight_ = 0;
+  for (const Weight w : g.weights_) g.total_weight_ += w;
+
+  // Parent lists by walking the child lists in ascending parent order, so
+  // every parent list comes out sorted whatever the child order was.
   g.parent_offsets_.assign(n + 1, 0);
-  g.child_offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges_) {
-    ++g.parent_offsets_[v + 1];
-    ++g.child_offsets_[u + 1];
-  }
+  for (const NodeId c : g.child_data_) ++g.parent_offsets_[c + 1];
   for (NodeId v = 0; v < n; ++v) {
     g.parent_offsets_[v + 1] += g.parent_offsets_[v];
-    g.child_offsets_[v + 1] += g.child_offsets_[v];
   }
-  g.parent_data_.resize(edges_.size());
-  g.child_data_.resize(edges_.size());
+  g.parent_data_.resize(g.child_data_.size());
+  bool children_sorted = true;
   {
-    std::vector<std::size_t> pfill(g.parent_offsets_.begin(),
-                                   g.parent_offsets_.end() - 1);
-    std::vector<std::size_t> cfill(g.child_offsets_.begin(),
-                                   g.child_offsets_.end() - 1);
-    for (const auto& [u, v] : edges_) {
-      g.parent_data_[pfill[v]++] = u;
-      g.child_data_[cfill[u]++] = v;
+    std::vector<std::size_t> fill(g.parent_offsets_.begin(),
+                                  g.parent_offsets_.end() - 1);
+    for (NodeId u = 0; u < n; ++u) {
+      const std::size_t first = g.child_offsets_[u];
+      for (std::size_t i = first; i < g.child_offsets_[u + 1]; ++i) {
+        const NodeId c = g.child_data_[i];
+        g.parent_data_[fill[c]++] = u;
+        if (i > first && g.child_data_[i - 1] >= c) children_sorted = false;
+      }
     }
   }
-  // Deterministic neighbor order (edge insertion order is already stable, but
-  // sorting makes equality of graphs independent of construction order).
-  // A sorted parent list also puts any duplicate edge next to its twin.
-  for (NodeId v = 0; v < n; ++v) {
-    const auto first = g.parent_data_.begin() +
-                       static_cast<std::ptrdiff_t>(g.parent_offsets_[v]);
-    const auto last = g.parent_data_.begin() +
-                      static_cast<std::ptrdiff_t>(g.parent_offsets_[v + 1]);
-    std::sort(first, last);
-    const auto dup = std::adjacent_find(first, last);
-    if (dup != last) {
-      result.error = "duplicate edge (" + std::to_string(*dup) + "," +
-                     std::to_string(v) + ")";
-      return result;
+  // Strictly ascending child lists hold no duplicate edge. Otherwise a
+  // sorted parent list puts any duplicate next to its twin, and the child
+  // lists are rebuilt sorted the same way the parent lists were.
+  if (!children_sorted) {
+    for (NodeId v = 0; v < n; ++v) {
+      const auto first = g.parent_data_.begin() +
+                         static_cast<std::ptrdiff_t>(g.parent_offsets_[v]);
+      const auto last = g.parent_data_.begin() +
+                        static_cast<std::ptrdiff_t>(g.parent_offsets_[v + 1]);
+      const auto dup = std::adjacent_find(first, last);
+      if (dup != last) {
+        result.error = "duplicate edge (" + std::to_string(*dup) + "," +
+                       std::to_string(v) + ")";
+        return result;
+      }
     }
-    std::sort(g.child_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.child_offsets_[v]),
-              g.child_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.child_offsets_[v + 1]));
+    std::vector<std::size_t> fill(g.child_offsets_.begin(),
+                                  g.child_offsets_.end() - 1);
+    for (NodeId v = 0; v < n; ++v) {
+      for (const NodeId p : g.parents(v)) g.child_data_[fill[p]++] = v;
+    }
   }
 
   for (NodeId v = 0; v < n; ++v) {

@@ -6,6 +6,7 @@
 // single-node graphs are useful in tests, so the check can be relaxed.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,20 @@ class GraphBuilder {
   // generators, tests): aborts with the validation message on failure.
   Graph BuildOrDie(const BuildOptions& options) const;
   Graph BuildOrDie() { return BuildOrDie(BuildOptions{}); }
+
+  // The second half of Build, for callers that already hold the edges
+  // grouped by parent (the wrbpg-bin-v1 decoder): the children of u are
+  // child_data[child_offsets[u] .. child_offsets[u + 1]), in any order.
+  // The caller has done Build's first checks — every weight positive,
+  // every child id in range, no self-loop. This runs the rest with
+  // Build's messages (duplicate edge, isolated node, cycle). Child lists
+  // that are already strictly ascending, as ToBinary writes them, are
+  // kept as given; any other order is rebuilt sorted.
+  static BuildResult BuildFromChildLists(std::vector<Weight> weights,
+                                         std::vector<std::string> names,
+                                         std::vector<std::size_t> child_offsets,
+                                         std::vector<NodeId> child_data,
+                                         const BuildOptions& options);
 
  private:
   std::vector<Weight> weights_;

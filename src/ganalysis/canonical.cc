@@ -303,6 +303,14 @@ std::vector<std::uint32_t> DeterministicLabeling(
                     graph.num_nodes());
 }
 
+std::vector<std::uint32_t> DeterministicLabeling(
+    const Graph& graph, const ColorRefinement& refinement) {
+  // Discretizing reads only the cell sequence, which the refinement
+  // fixes, so this matches the partition Refine() left behind above.
+  return Discretize(OrderedPartition(graph, refinement), {},
+                    graph.num_nodes());
+}
+
 bool IsIsomorphismMap(const Graph& a, const Graph& b,
                       const std::vector<NodeId>& map) {
   const NodeId n = a.num_nodes();
@@ -364,13 +372,21 @@ std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
 std::optional<std::vector<NodeId>> FindIsomorphism(
     const Graph& a, const std::vector<std::uint32_t>& a_labels,
     const Graph& b) {
-  const NodeId n = a.num_nodes();
-  if (b.num_nodes() != n || a.num_edges() != b.num_edges() ||
-      a_labels.size() != n) {
+  if (b.num_nodes() != a.num_nodes() || a.num_edges() != b.num_edges()) {
     return std::nullopt;
   }
-  if (n == 0) return std::vector<NodeId>{};
-  auto map = AlignLabelings(a_labels, DeterministicLabeling(b), n);
+  return FindIsomorphism(a, a_labels, b, DeterministicLabeling(b));
+}
+
+std::optional<std::vector<NodeId>> FindIsomorphism(
+    const Graph& a, const std::vector<std::uint32_t>& a_labels,
+    const Graph& b, const std::vector<std::uint32_t>& b_labels) {
+  const NodeId n = a.num_nodes();
+  if (b.num_nodes() != n || a.num_edges() != b.num_edges() ||
+      a_labels.size() != n || b_labels.size() != n) {
+    return std::nullopt;
+  }
+  auto map = AlignLabelings(a_labels, b_labels, n);
   if (!map || !IsIsomorphismMap(a, b, *map)) return std::nullopt;
   return map;
 }

@@ -88,6 +88,11 @@ OrbitPartition ComputeOrbits(const Graph& graph,
 // NOT a canonical form); use HashGraph for iso-invariant identity.
 std::vector<std::uint32_t> DeterministicLabeling(
     const Graph& graph, std::optional<NodeId> individualize_first = {});
+// The same labeling (bit for bit) from a refinement the caller already
+// holds (refinement == RefineColors(graph)), so a caller that needs both
+// HashGraph and the labeling of one graph refines it once.
+std::vector<std::uint32_t> DeterministicLabeling(
+    const Graph& graph, const ColorRefinement& refinement);
 
 // True when `map` (a is mapped to map[a] in `b`) is a weight- and
 // edge-preserving bijection between the two graphs.
@@ -109,5 +114,10 @@ std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
 std::optional<std::vector<NodeId>> FindIsomorphism(
     const Graph& a, const std::vector<std::uint32_t>& a_labels,
     const Graph& b);
+// Same search with both labelings supplied (b_labels ==
+// DeterministicLabeling(b)); nothing is labeled here.
+std::optional<std::vector<NodeId>> FindIsomorphism(
+    const Graph& a, const std::vector<std::uint32_t>& a_labels,
+    const Graph& b, const std::vector<std::uint32_t>& b_labels);
 
 }  // namespace wrbpg

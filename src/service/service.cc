@@ -52,6 +52,33 @@ bool CacheAdmissible(double deadline_ms, const ScheduleResult& result) {
   return false;
 }
 
+std::uint64_t FoldBudget(std::uint64_t graph_hash, Weight budget) {
+  // Iso-invariant graph identity folded with the budget. Engine, thread
+  // count, and deadline are deliberately excluded — see service.h.
+  return Mix64(graph_hash ^ Mix64(static_cast<std::uint64_t>(budget) +
+                                  0x9e3779b97f4a7c15ULL));
+}
+
+// The first-level key: the request exactly as labeled. One multiply per
+// word over the weights and the parent lists, each list led by its length,
+// then folded with the budget. Names are left out: no answer depends on
+// them. Both key levels share one LRU; a collision with either costs only
+// the equality check that confirms every hit.
+std::uint64_t LabeledKey(const Graph& graph, Weight budget) {
+  constexpr std::uint64_t kMul = 0x517cc1b727220a95ULL;
+  std::uint64_t h = 0x6c62272e07bb0142ULL ^ graph.num_nodes();
+  auto add = [&](std::uint64_t word) {
+    h = (((h << 5) | (h >> 59)) ^ word) * kMul;
+  };
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const auto parents = graph.parents(v);
+    add(static_cast<std::uint64_t>(graph.weight(v)));
+    add(parents.size());
+    for (const NodeId p : parents) add(p);
+  }
+  return Mix64(h ^ Mix64(static_cast<std::uint64_t>(budget)));
+}
+
 }  // namespace
 
 const char* ToString(ServeSource source) {
@@ -65,17 +92,66 @@ const char* ToString(ServeSource source) {
 }
 
 // One cached (or in-flight) answer. The stored graph pins the exact node
-// labeling the result was solved under: byte-equality against it decides
-// direct hits, and the decoded copy anchors isomorphism renaming for
-// permuted requests.
+// labeling the answer holds under: weight-and-edge equality against it
+// confirms exact hits, and for a solved entry it anchors isomorphism
+// renaming for permuted requests.
 struct ScheduleService::CacheEntry {
-  bool ok = false;          // the solve produced a valid schedule
+  bool ok = false;          // the answer is a valid schedule
   std::string error;        // infeasibility detail when !ok
-  std::string graph_bin;    // wrbpg-bin-v1 bytes of the solved graph
-  Graph graph;              // decoded copy (iso renaming, re-verification)
+  Graph graph;              // the graph the answer is for, as labeled
+  Weight budget = 0;
+  std::uint64_t key = 0;    // iso-invariant key (ServiceResponse::key)
   ScheduleResult result;
   std::string winner;
   std::size_t accounted_bytes = 0;
+
+  // Bytes the cache accounts for this entry under each key it is stored
+  // under: the encoded sizes of its graph and schedule plus the struct.
+  void Account() {
+    accounted_bytes =
+        BinarySize(graph) + BinarySize(result.schedule) + sizeof(CacheEntry);
+  }
+
+  // The answer serves `request` unchanged: same budget, same weights and
+  // edges under the same ids.
+  bool Answers(const ServiceRequest& request) const {
+    return budget == request.budget &&
+           graph.SameWeightsAndEdges(*request.graph);
+  }
+
+  // This answer renamed onto `request`, a permuted isomorph of `graph`
+  // whose refinement is given, and re-simulated; null when no isomorphism
+  // is verified or the renamed schedule fails the simulator.
+  std::shared_ptr<const CacheEntry> RenamedFor(
+      const ServiceRequest& request, const ColorRefinement& refinement) const {
+    const auto map =
+        FindIsomorphism(graph, labels(), *request.graph,
+                        DeterministicLabeling(*request.graph, refinement));
+    if (!map) return nullptr;
+    auto renamed = std::make_shared<CacheEntry>();
+    renamed->ok = ok;
+    renamed->error = error;
+    renamed->graph = *request.graph;
+    renamed->budget = request.budget;
+    renamed->key = key;
+    renamed->result = result;
+    renamed->winner = winner;
+    // Infeasibility transfers across isomorphism as it is: permuting node
+    // ids changes no weight and no budget.
+    if (ok) {
+      std::vector<Move> moves = result.schedule.moves();
+      for (Move& move : moves) move.node = (*map)[move.node];
+      renamed->result.schedule = Schedule(std::move(moves));
+      // The renaming is provably cost-preserving, but the serve path
+      // re-verifies anyway: a schedule leaves the service only through
+      // the simulator.
+      const SimResult sim =
+          Simulate(*request.graph, request.budget, renamed->result.schedule);
+      if (!sim.valid || sim.cost != result.cost) return nullptr;
+    }
+    renamed->Account();
+    return renamed;
+  }
 
   // DeterministicLabeling(graph), computed once on the first iso hit: the
   // stored graph never changes, so later hits label only the request.
@@ -100,15 +176,12 @@ ScheduleService::ScheduleService(const ServiceOptions& options)
       pool_(ResolveThreadCount(options.threads)) {}
 
 std::uint64_t ScheduleService::DeriveKey(const Graph& graph, Weight budget) {
-  // Iso-invariant graph identity folded with the budget. Engine, thread
-  // count, and deadline are deliberately excluded — see service.h.
-  const std::uint64_t graph_hash = HashGraph(graph);
-  return Mix64(graph_hash ^ Mix64(static_cast<std::uint64_t>(budget) +
-                                  0x9e3779b97f4a7c15ULL));
+  return FoldBudget(HashGraph(graph), budget);
 }
 
 std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
-    const ServiceRequest& request, double deadline_ms, std::uint64_t key) {
+    const ServiceRequest& request, double deadline_ms, std::uint64_t key,
+    std::uint64_t labeled) {
   const obs::ScopedSpan span("service.solve");
   static const obs::Counter solves("service.solves");
   solves.Add(1);
@@ -120,8 +193,9 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
       RobustScheduler(*request.graph).Run(request.budget, robust);
 
   auto entry = std::make_shared<CacheEntry>();
-  entry->graph_bin = ToBinary(*request.graph);
   entry->graph = *request.graph;
+  entry->budget = request.budget;
+  entry->key = key;
   entry->result = solved.result;
   entry->winner = solved.winner;
   entry->ok = solved.result.feasible;
@@ -129,15 +203,17 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
     entry->error = "infeasible: no stage produced a valid schedule under " +
                    std::to_string(request.budget) + " bits";
   }
-  const std::string schedule_bin = ToBinary(entry->result.schedule);
-  entry->accounted_bytes =
-      entry->graph_bin.size() + schedule_bin.size() + sizeof(CacheEntry);
+  entry->Account();
 
   if (options_.cache_bytes > 0 && CacheAdmissible(deadline_ms, entry->result)) {
     static const obs::Counter inserts("service.cache_inserts");
     static const obs::Counter rejected("service.cache_insert_rejected");
-    if (cache_.Put(key, entry, entry->accounted_bytes)) {
+    // Under the request's labeled key for exact hits, and under the
+    // iso-invariant key so permuted isomorphs can find it. Each key
+    // accounts the entry's bytes.
+    if (cache_.Put(labeled, entry, entry->accounted_bytes)) {
       inserts.Add(1);
+      cache_.Put(key, entry, entry->accounted_bytes);
     } else {
       rejected.Add(1);
     }
@@ -150,6 +226,7 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   static const obs::Counter requests("service.requests");
   static const obs::Counter hits("service.cache_hits");
   static const obs::Counter iso_hits("service.cache_hits_iso");
+  static const obs::Counter memo_inserts("service.iso_memo_inserts");
   static const obs::Counter misses("service.cache_misses");
   static const obs::Counter dedups("service.dedup_shared");
   requests.Add(1);
@@ -164,13 +241,6 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
     return response;
   }
 
-  const double deadline_ms = request.deadline_ms > 0
-                                 ? request.deadline_ms
-                                 : options_.default_deadline_ms;
-  const std::uint64_t key = DeriveKey(*request.graph, request.budget);
-  response.key = key;
-  const std::string graph_bin = ToBinary(*request.graph);
-
   auto respond_from = [&](const std::shared_ptr<const CacheEntry>& entry,
                           ServeSource source) {
     response.ok = entry->ok;
@@ -178,51 +248,55 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
     response.result = entry->result;
     response.winner = entry->winner;
     response.source = source;
+    response.key = entry->key;
     response.latency_ms = MsSince(start);
     return response;
   };
+  auto count_hit = [&] {
+    hits.Add(1);
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  };
 
+  // First level: the request exactly as labeled. Confirmed by full
+  // weight-and-edge equality, never by the key alone.
+  const std::uint64_t labeled = LabeledKey(*request.graph, request.budget);
+  if (options_.cache_bytes > 0) {
+    if (const auto entry = cache_.Get(labeled);
+        entry && entry->Answers(request)) {
+      count_hit();
+      return respond_from(entry, ServeSource::kCacheHit);
+    }
+  }
+
+  // Second level: the iso-invariant key. One refinement serves both the
+  // key and, on an iso probe, the request's labeling.
+  const ColorRefinement refinement = RefineColors(*request.graph);
+  const std::uint64_t key =
+      FoldBudget(HashGraph(*request.graph, refinement), request.budget);
+  response.key = key;
   if (options_.cache_bytes > 0) {
     if (const auto entry = cache_.Get(key)) {
-      if (entry->graph_bin == graph_bin) {
-        hits.Add(1);
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (entry->Answers(request)) {
+        // The labeled key was evicted while this entry stayed reachable
+        // under the iso key: admit it under the labeled key again.
+        cache_.Put(labeled, entry, entry->accounted_bytes);
+        count_hit();
         return respond_from(entry, ServeSource::kCacheHit);
       }
-      // Same iso-invariant key, different bytes: either a permuted
-      // isomorph (serve by verified renaming) or a genuine hash
-      // collision (fall through to a cold solve).
-      if (options_.iso_hits) {
-        if (!entry->ok) {
-          // Infeasibility transfers across isomorphism: permuting node
-          // ids changes no weight and no budget.
-          if (FindIsomorphism(entry->graph, entry->labels(),
-                              *request.graph)) {
-            iso_hits.Add(1);
-            iso_hits_.fetch_add(1, std::memory_order_relaxed);
-            return respond_from(entry, ServeSource::kIsoCacheHit);
+      // Same iso-invariant key, different graph: either a permuted
+      // isomorph (serve by verified renaming) or a genuine hash collision
+      // (fall through to a cold solve). The verified answer is memoized
+      // under the request's labeled key, so the same labeling next time
+      // is an exact hit.
+      if (options_.iso_hits && entry->budget == request.budget) {
+        if (const auto renamed = entry->RenamedFor(request, refinement)) {
+          if (cache_.Put(labeled, renamed, renamed->accounted_bytes)) {
+            memo_inserts.Add(1);
+            iso_memo_inserts_.fetch_add(1, std::memory_order_relaxed);
           }
-        } else if (const auto map = FindIsomorphism(
-                       entry->graph, entry->labels(), *request.graph)) {
-          std::vector<Move> moves = entry->result.schedule.moves();
-          for (Move& move : moves) move.node = (*map)[move.node];
-          ScheduleResult renamed = entry->result;
-          renamed.schedule = Schedule(std::move(moves));
-          // The renaming is provably cost-preserving, but the serve path
-          // re-verifies anyway: a schedule leaves the service only
-          // through the simulator.
-          const SimResult sim =
-              Simulate(*request.graph, request.budget, renamed.schedule);
-          if (sim.valid && sim.cost == entry->result.cost) {
-            iso_hits.Add(1);
-            iso_hits_.fetch_add(1, std::memory_order_relaxed);
-            response.ok = true;
-            response.result = std::move(renamed);
-            response.winner = entry->winner;
-            response.source = ServeSource::kIsoCacheHit;
-            response.latency_ms = MsSince(start);
-            return response;
-          }
+          iso_hits.Add(1);
+          iso_hits_.fetch_add(1, std::memory_order_relaxed);
+          return respond_from(renamed, ServeSource::kIsoCacheHit);
         }
       }
     }
@@ -230,15 +304,19 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
 
   misses.Add(1);
   misses_.fetch_add(1, std::memory_order_relaxed);
+  const double deadline_ms = request.deadline_ms > 0
+                                 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
   // Single-flight over the EXACT request identity (graph bytes + budget
   // + effective deadline): concurrent identical requests run one solve;
   // requests differing only in deadline stay separate flights, because
   // their anytime results legitimately differ.
-  const std::string flight_key = graph_bin + '|' +
+  const std::string flight_key = ToBinary(*request.graph) + '|' +
                                  std::to_string(request.budget) + '|' +
                                  std::to_string(deadline_ms);
-  const auto outcome = flights_.Do(
-      flight_key, [&] { return Solve(request, deadline_ms, key); });
+  const auto outcome = flights_.Do(flight_key, [&] {
+    return Solve(request, deadline_ms, key, labeled);
+  });
   if (!outcome.leader) {
     dedups.Add(1);
     dedup_shared_.fetch_add(1, std::memory_order_relaxed);
@@ -259,27 +337,34 @@ std::vector<ServiceResponse> ScheduleService::ServeBatch(
     std::vector<std::size_t> indices;  // requests answered by this solve
     double effective_deadline_ms = 0;  // 0 = unbounded, dispatched last
   };
-  std::unordered_map<std::string, std::size_t> group_of;
+  // Candidate groups by labeled key; membership is confirmed by the same
+  // equality that confirms an exact cache hit, plus the deadline.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups_of;
   std::vector<Group> groups;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ServiceRequest& request = requests[i];
-    std::string identity;
-    if (request.graph != nullptr && request.budget > 0) {
-      const double deadline_ms = request.deadline_ms > 0
-                                     ? request.deadline_ms
-                                     : options_.default_deadline_ms;
-      identity = ToBinary(*request.graph) + '|' +
-                 std::to_string(request.budget) + '|' +
-                 std::to_string(deadline_ms);
-      const auto [it, inserted] = group_of.emplace(identity, groups.size());
-      if (inserted) {
-        groups.push_back(Group{{i}, deadline_ms});
-      } else {
-        groups[it->second].indices.push_back(i);
-      }
-    } else {
+    if (request.graph == nullptr || request.budget <= 0) {
       // Malformed requests answer inline (Serve produces the error).
       responses[i] = Serve(request);
+      continue;
+    }
+    const double deadline_ms = request.deadline_ms > 0
+                                   ? request.deadline_ms
+                                   : options_.default_deadline_ms;
+    std::vector<std::size_t>& candidates =
+        groups_of[LabeledKey(*request.graph, request.budget)];
+    const auto same = std::find_if(
+        candidates.begin(), candidates.end(), [&](std::size_t g) {
+          const ServiceRequest& leader = requests[groups[g].indices.front()];
+          return groups[g].effective_deadline_ms == deadline_ms &&
+                 leader.budget == request.budget &&
+                 leader.graph->SameWeightsAndEdges(*request.graph);
+        });
+    if (same != candidates.end()) {
+      groups[*same].indices.push_back(i);
+    } else {
+      candidates.push_back(groups.size());
+      groups.push_back(Group{{i}, deadline_ms});
     }
   }
   std::vector<std::size_t> order(groups.size());
@@ -327,6 +412,7 @@ ServiceStats ScheduleService::stats() const {
   out.misses = misses_.load(std::memory_order_relaxed);
   out.dedup_shared = dedup_shared_.load(std::memory_order_relaxed);
   out.solves = solves_.load(std::memory_order_relaxed);
+  out.iso_memo_inserts = iso_memo_inserts_.load(std::memory_order_relaxed);
   const auto cache = cache_.stats();
   out.cache_entries = cache.entries;
   out.cache_bytes = cache.bytes;

@@ -1,7 +1,10 @@
 // wrbpg-bin-v1 (core/binio.h): round-trips across every graph family,
-// spec conformance against an independent encoder, and decode hardening —
-// every strict prefix rejected, every single-byte corruption rejected,
-// hostile declared counts rejected before allocation.
+// spec conformance against an independent encoder, the CSR decoder
+// against GraphBuilder field by field, and decode hardening — every
+// strict prefix rejected, every single-byte corruption rejected, hostile
+// declared counts rejected before allocation, every model violation
+// reported with its message.
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -16,7 +19,9 @@
 #include "core/schedule.h"
 #include "core/serialize.h"
 #include "dataflows/builtin_spec.h"
+#include "dataflows/random_dag.h"
 #include "schedulers/greedy_topo.h"
+#include "util/rng.h"
 
 namespace wrbpg {
 namespace {
@@ -87,17 +92,146 @@ Graph Diamond() {
   return b.BuildOrDie();
 }
 
-void ExpectSameGraph(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
+// Every field a Graph exposes: weights, names, both adjacency lists of
+// every node (so both CSRs), sources, sinks and the topological order.
+void ExpectSameFields(const Graph& a, const Graph& b, const std::string& what) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << what;
+  ASSERT_EQ(a.num_edges(), b.num_edges()) << what;
+  EXPECT_EQ(a.weights(), b.weights()) << what;
+  EXPECT_EQ(a.total_weight(), b.total_weight()) << what;
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    EXPECT_EQ(a.weight(v), b.weight(v)) << "node " << v;
-    EXPECT_EQ(a.name(v), b.name(v)) << "node " << v;
-    ASSERT_EQ(a.parents(v).size(), b.parents(v).size()) << "node " << v;
-    for (std::size_t i = 0; i < a.parents(v).size(); ++i) {
-      EXPECT_EQ(a.parents(v)[i], b.parents(v)[i]);
+    EXPECT_EQ(a.name(v), b.name(v)) << what << " node " << v;
+    EXPECT_TRUE(std::ranges::equal(a.parents(v), b.parents(v)))
+        << what << " parents of " << v;
+    EXPECT_TRUE(std::ranges::equal(a.children(v), b.children(v)))
+        << what << " children of " << v;
+    EXPECT_TRUE(std::ranges::is_sorted(b.parents(v))) << what;
+    EXPECT_TRUE(std::ranges::is_sorted(b.children(v))) << what;
+  }
+  EXPECT_EQ(a.sources(), b.sources()) << what;
+  EXPECT_EQ(a.sinks(), b.sinks()) << what;
+  EXPECT_EQ(a.topological_order(), b.topological_order()) << what;
+  EXPECT_TRUE(a.SameWeightsAndEdges(b)) << what;
+}
+
+// The same graph through GraphBuilder with its edges added in a shuffled
+// order: Build must sort the lists it was handed out of order.
+Graph RebuildShuffled(const Graph& g, std::uint64_t seed) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const NodeId c : g.children(v)) edges.emplace_back(v, c);
+  }
+  std::mt19937_64 rng(seed);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  GraphBuilder b;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) b.AddNode(g.weight(v), g.name(v));
+  for (const auto& [u, v] : edges) b.AddEdge(u, v);
+  return b.BuildOrDie();
+}
+
+std::vector<Graph> DecodeCorpus() {
+  std::vector<Graph> corpus;
+  for (const char* spec : {"dwt:8,2", "dwt:32,3", "kary:3,2", "kary:4,4",
+                           "mvm:3,4", "mvm:6,6", "butterfly:4",
+                           "butterfly:16", "random:3,4,7",
+                           "random:10,12,7"}) {
+    const BuiltinGraph built = BuildBuiltinGraph(spec);
+    EXPECT_TRUE(built.ok) << spec;
+    corpus.push_back(built.graph());
+  }
+  Rng rng(0xdec0de);
+  for (int i = 0; i < 40; ++i) {
+    RandomDagOptions options;
+    options.num_layers = 2 + i % 6;
+    options.nodes_per_layer = 1 + i % 9;
+    options.max_in_degree = 1 + i % 4;
+    corpus.push_back(BuildRandomDag(rng, options));
+  }
+  corpus.push_back(Diamond());
+  return corpus;
+}
+
+TEST(BinIo, DecodeMatchesGraphBuilderFieldByField) {
+  const std::vector<Graph> corpus = DecodeCorpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& g = corpus[i];
+    const std::string what = "corpus[" + std::to_string(i) + "]";
+    const std::string bytes = ToBinary(g);
+    EXPECT_EQ(BinarySize(g), bytes.size()) << what;
+    const GraphParseResult parsed = ParseGraphBinary(bytes);
+    ASSERT_TRUE(parsed.ok) << what << ": " << parsed.error;
+    ExpectSameFields(g, parsed.graph, what);
+    ExpectSameFields(g, RebuildShuffled(g, i), what + " shuffled build");
+  }
+}
+
+TEST(BinIo, ShuffledEdgeOrderDecodesToTheSameGraph) {
+  const std::vector<Graph> corpus = DecodeCorpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& g = corpus[i];
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (const NodeId c : g.children(v)) edges.emplace_back(v, c);
+    }
+    std::mt19937_64 rng(0x5af + i);
+    std::shuffle(edges.begin(), edges.end(), rng);
+    // Hand-built stream, same nodes, edge table in shuffled order.
+    SpecEncoder enc(kBinKindGraph);
+    enc.U32(g.num_nodes()).U32(static_cast<std::uint32_t>(edges.size()));
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      enc.U64(static_cast<std::uint64_t>(g.weight(v)));
+    }
+    enc.U8(0);
+    for (const auto& [u, v] : edges) enc.U32(u).U32(v);
+    const GraphParseResult parsed = ParseGraphBinary(enc.Finish());
+    ASSERT_TRUE(parsed.ok) << i << ": " << parsed.error;
+    EXPECT_TRUE(parsed.graph.SameWeightsAndEdges(g)) << i;
+    EXPECT_EQ(parsed.graph.topological_order(), g.topological_order()) << i;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_TRUE(std::ranges::equal(parsed.graph.children(v), g.children(v)))
+          << i << " children of " << v;
     }
   }
+}
+
+TEST(BinIo, CorruptStreamsKeepTheirMessages) {
+  // Two weights (16, 8) and no names: the edge table starts at offset 33.
+  auto two_nodes = [](std::uint32_t edges) {
+    SpecEncoder enc(kBinKindGraph);
+    enc.U32(2).U32(edges).U64(16).U64(8).U8(0);
+    return enc;
+  };
+  auto error_of = [](const std::string& bytes) {
+    const GraphParseResult r = ParseGraphBinary(bytes);
+    EXPECT_FALSE(r.ok);
+    return r.error;
+  };
+  // Each edge-table error reports the offset just past the edge read.
+  EXPECT_EQ(error_of(two_nodes(1).U32(0).U32(7).Finish()),
+            "offset 41: edge (0,7) references an undeclared node");
+  EXPECT_EQ(error_of(two_nodes(1).U32(1).U32(1).Finish()),
+            "offset 41: self-loop on node 1");
+  EXPECT_EQ(error_of(two_nodes(1).U32(0).U32(1).U8(0).Finish()),
+            "offset 41: 1 trailing payload bytes after the edge table");
+  EXPECT_EQ(error_of(two_nodes(2).U32(0).U32(1).U32(0).U32(1).Finish()),
+            "duplicate edge (0,1)");
+  // Duplicates in two lists: the smallest child's twin is the one named,
+  // in a grouped stream and in a shuffled one alike.
+  SpecEncoder dups(kBinKindGraph);
+  dups.U32(4).U32(5).U64(1).U64(1).U64(1).U64(1).U8(0);
+  dups.U32(1).U32(3).U32(0).U32(2).U32(1).U32(3).U32(0).U32(2).U32(2).U32(3);
+  EXPECT_EQ(error_of(dups.Finish()), "duplicate edge (0,2)");
+
+  SpecEncoder cycle(kBinKindGraph);
+  cycle.U32(3).U32(3).U64(16).U64(8).U64(8).U8(0);
+  cycle.U32(0).U32(1).U32(1).U32(2).U32(2).U32(0);
+  EXPECT_EQ(error_of(cycle.Finish()), "graph contains a cycle");
+
+  SpecEncoder isolated(kBinKindGraph);
+  isolated.U32(3).U32(1).U64(16).U64(8).U64(4).U8(0).U32(0).U32(1);
+  EXPECT_EQ(error_of(isolated.Finish()),
+            "node 2 is both source and sink (isolated); the WRBPG assumes "
+            "A(G) and Z(G) are disjoint");
 }
 
 TEST(BinIo, RoundTripsEveryBuiltinFamily) {
@@ -111,7 +245,7 @@ TEST(BinIo, RoundTripsEveryBuiltinFamily) {
     EXPECT_TRUE(LooksLikeBinary(bytes));
     const GraphParseResult parsed = ParseGraphBinary(bytes);
     ASSERT_TRUE(parsed.ok) << spec << ": " << parsed.error;
-    ExpectSameGraph(built.graph(), parsed.graph);
+    ExpectSameFields(built.graph(), parsed.graph, spec);
     // Canonical: re-encoding the decoded graph reproduces the bytes.
     EXPECT_EQ(ToBinary(parsed.graph), bytes) << spec;
   }
@@ -121,7 +255,7 @@ TEST(BinIo, RoundTripsNamedNodes) {
   const Graph g = Diamond();
   const GraphParseResult parsed = ParseGraphBinary(ToBinary(g));
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  ExpectSameGraph(g, parsed.graph);
+  ExpectSameFields(g, parsed.graph, "diamond");
   EXPECT_EQ(parsed.graph.name(0), "in");
   EXPECT_EQ(parsed.graph.name(3), "out");
 }

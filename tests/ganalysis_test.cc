@@ -251,6 +251,49 @@ TEST(Canonical, FindIsomorphismOnEveryServedFamily) {
   }
 }
 
+// The service refines a first-sight request once and reads both its iso
+// key and its labeling off that refinement; both must be bit-identical to
+// the standalone entry points.
+TEST(Canonical, HashAndLabelingFromOneRefinementAreBitIdentical) {
+  std::vector<Graph> corpus;
+  for (const std::string& spec : ServedSpecs()) corpus.push_back(Builtin(spec));
+  corpus.push_back(testing::MakeChain(12));
+  corpus.push_back(testing::MakeDiamond({3, 5, 7, 11, 13}));
+  Rng rng(0x0e1abe1u);
+  for (int i = 0; i < 60; ++i) {
+    RandomDagOptions options;
+    options.num_layers = 2 + i % 5;
+    options.nodes_per_layer = 3 + i % 11;
+    options.max_in_degree = 1 + i % 3;
+    options.max_weight = i % 3 == 0 ? 1 : 8;
+    corpus.push_back(BuildRandomDag(rng, options));
+  }
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    for (std::uint32_t seed = 0; seed <= 2; ++seed) {
+      const Graph g = seed == 0 ? corpus[i]
+                                : Permute(corpus[i],
+                                          RandomPermutation(
+                                              corpus[i].num_nodes(), seed));
+      const ColorRefinement refinement = RefineColors(g);
+      EXPECT_EQ(HashGraph(g, refinement), HashGraph(g))
+          << "graph " << i << " seed " << seed;
+      const std::vector<std::uint32_t> labels =
+          DeterministicLabeling(g, refinement);
+      EXPECT_EQ(labels, DeterministicLabeling(g))
+          << "graph " << i << " seed " << seed;
+      if (seed > 0) {
+        const auto map = FindIsomorphism(corpus[i], g);
+        const auto both = FindIsomorphism(
+            corpus[i], DeterministicLabeling(corpus[i]), g, labels);
+        ASSERT_EQ(map.has_value(), both.has_value()) << "graph " << i;
+        if (map) {
+          EXPECT_EQ(*map, *both) << "graph " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Canonical, IsIsomorphismMapRejectsBrokenMaps) {
   const Graph g = BuildPerfectTree(2, 3).graph;
   std::vector<NodeId> identity(g.num_nodes());

@@ -1,7 +1,7 @@
 // ScheduleService (src/service/): cache determinism across threads,
-// single-flight dedup, isomorph hits, byte-budget eviction, batch
-// dispatch, the deadline admission policy, and counter consistency under
-// concurrent serves.
+// single-flight dedup, isomorph hits and their memoized answers, the
+// two-level key, byte-budget eviction, batch dispatch, the deadline
+// admission policy, and counter consistency under concurrent serves.
 #include <algorithm>
 #include <cstdint>
 #include <latch>
@@ -349,6 +349,200 @@ TEST(ScheduleService, ServeBatchCollapsesDuplicatesAndMapsByIndex) {
             ToBinary(responses[0].result.schedule));
   EXPECT_EQ(service.stats().solves, 2u);
   EXPECT_GE(service.stats().dedup_shared, 1u);
+}
+
+// An iso answer is memoized under the request's own labeling: the same
+// relabeling asked again is an exact hit with the first reply's bytes,
+// with no further labeling, iso hit or solve.
+TEST(ScheduleService, RepeatedRelabelingIsAnExactHit) {
+  const Graph graph = BuiltinOrDie("kary:3,3");
+  const Graph permuted = PermuteGraph(graph, 0x3e3e);
+  const Weight budget = MinValidBudget(graph) + 16;
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = budget;
+  const ServiceResponse cold = service.Serve(request);
+  ASSERT_TRUE(cold.ok);
+
+  ServiceRequest iso_request;
+  iso_request.graph = &permuted;
+  iso_request.budget = budget;
+  const ServiceResponse first = service.Serve(iso_request);
+  ASSERT_TRUE(first.ok);
+  ASSERT_EQ(first.source, ServeSource::kIsoCacheHit);
+  EXPECT_EQ(service.stats().iso_memo_inserts, 1u);
+  const std::uint64_t labelings = obs::ReadMetric("service.iso_labelings");
+  const ServiceStats before = service.stats();
+
+  const ServiceResponse repeat = service.Serve(iso_request);
+  ASSERT_TRUE(repeat.ok);
+  EXPECT_EQ(repeat.source, ServeSource::kCacheHit);
+  EXPECT_EQ(ToBinary(repeat.result.schedule), ToBinary(first.result.schedule));
+  EXPECT_EQ(repeat.result.cost, first.result.cost);
+  EXPECT_EQ(repeat.result.lower_bound, first.result.lower_bound);
+  EXPECT_EQ(repeat.winner, first.winner);
+  EXPECT_EQ(repeat.key, cold.key);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.iso_hits, before.iso_hits);
+  EXPECT_EQ(after.solves, before.solves);
+  EXPECT_EQ(after.iso_memo_inserts, before.iso_memo_inserts);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(obs::ReadMetric("service.iso_labelings"), labelings);
+  const SimResult sim = Simulate(permuted, budget, repeat.result.schedule);
+  EXPECT_TRUE(sim.valid);
+  EXPECT_EQ(sim.cost, cold.result.cost);
+}
+
+// Names are not part of the first-level key: no answer depends on them.
+TEST(ScheduleService, GraphsDifferingOnlyInNamesHitExactly) {
+  const Graph graph = BuiltinOrDie("random:3,4,17");
+  GraphBuilder renamed_builder;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    renamed_builder.AddNode(graph.weight(v), "n" + std::to_string(v));
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (const NodeId c : graph.children(v)) renamed_builder.AddEdge(v, c);
+  }
+  const Graph renamed = renamed_builder.BuildOrDie();
+  ASSERT_NE(ToBinary(renamed), ToBinary(graph));
+  const Weight budget = MinValidBudget(graph) + 8;
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = budget;
+  const ServiceResponse cold = service.Serve(request);
+  ASSERT_TRUE(cold.ok);
+  request.graph = &renamed;
+  const ServiceResponse hit = service.Serve(request);
+  ASSERT_TRUE(hit.ok);
+  EXPECT_EQ(hit.source, ServeSource::kCacheHit);
+  EXPECT_EQ(ToBinary(hit.result.schedule), ToBinary(cold.result.schedule));
+  EXPECT_EQ(service.stats().solves, 1u);
+}
+
+// Same weights, different edges: never one answer for both, whether the
+// two arrive one after the other or in one batch.
+TEST(ScheduleService, SameWeightsDifferentEdgesNeverShareAnAnswer) {
+  const Graph graph = BuiltinOrDie("random:3,4,23");
+  // Move one edge: keep every weight, change one parent of the last node.
+  const NodeId last = graph.num_nodes() - 1;
+  ASSERT_FALSE(graph.parents(last).empty());
+  const NodeId dropped = graph.parents(last).front();
+  NodeId added = kInvalidNode;
+  for (NodeId u = 0; u < last && added == kInvalidNode; ++u) {
+    const auto parents = graph.parents(last);
+    if (u != dropped && !graph.is_sink(u) &&
+        std::find(parents.begin(), parents.end(), u) == parents.end()) {
+      added = u;
+    }
+  }
+  ASSERT_NE(added, kInvalidNode);
+  GraphBuilder builder;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    builder.AddNode(graph.weight(v), graph.name(v));
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (const NodeId c : graph.children(v)) {
+      if (v != dropped || c != last) builder.AddEdge(v, c);
+    }
+  }
+  builder.AddEdge(added, last);
+  const auto built = builder.Build();
+  ASSERT_TRUE(built.ok) << built.error;
+  const Graph& rewired = built.graph;
+  ASSERT_EQ(rewired.weights(), graph.weights());
+  ASSERT_FALSE(rewired.SameWeightsAndEdges(graph));
+
+  const Weight budget = MinValidBudget(graph) + 8;
+  std::vector<ServiceRequest> requests(2);
+  requests[0].graph = &graph;
+  requests[0].budget = budget;
+  requests[1].graph = &rewired;
+  requests[1].budget = budget;
+  for (const bool batched : {false, true}) {
+    ScheduleService service;
+    std::vector<ServiceResponse> responses;
+    if (batched) {
+      responses = service.ServeBatch(requests);
+    } else {
+      for (const ServiceRequest& r : requests) {
+        responses.push_back(service.Serve(r));
+      }
+    }
+    ASSERT_EQ(responses.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(responses[i].ok) << "batched=" << batched << " " << i;
+      EXPECT_NE(responses[i].source, ServeSource::kCacheHit);
+      EXPECT_NE(responses[i].source, ServeSource::kDedup);
+      const SimResult sim = Simulate(*requests[i].graph, budget,
+                                     responses[i].result.schedule);
+      EXPECT_TRUE(sim.valid) << "batched=" << batched << " " << i;
+      EXPECT_EQ(sim.cost, responses[i].result.cost);
+    }
+    EXPECT_EQ(service.stats().cache_hits, 0u);
+  }
+}
+
+// Infeasibility transfers across isomorphism, and that answer is memoized
+// like a renamed schedule.
+TEST(ScheduleService, InfeasibleIsomorphAnswerIsMemoized) {
+  const Graph graph = BuiltinOrDie("random:2,3,5");
+  const Graph permuted = PermuteGraph(graph, 0x1f);
+  ASSERT_NE(ToBinary(permuted), ToBinary(graph));
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = 1;  // below any node weight: provably infeasible
+  ASSERT_FALSE(service.Serve(request).ok);
+  request.graph = &permuted;
+  const ServiceResponse iso = service.Serve(request);
+  EXPECT_FALSE(iso.ok);
+  EXPECT_FALSE(iso.error.empty());
+  EXPECT_EQ(iso.source, ServeSource::kIsoCacheHit);
+  const ServiceResponse repeat = service.Serve(request);
+  EXPECT_FALSE(repeat.ok);
+  EXPECT_EQ(repeat.source, ServeSource::kCacheHit);
+  EXPECT_EQ(repeat.error, iso.error);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.iso_hits, 1u);
+  EXPECT_EQ(stats.iso_memo_inserts, 1u);
+  EXPECT_EQ(stats.solves, 1u);
+}
+
+// A cache too small for the pool keeps evicting solved entries, their iso
+// aliases and memoized answers; every answer is still simulator-valid and
+// every request counted once.
+TEST(ScheduleService, TinyCacheEvictingAliasesAndMemosStaysValid) {
+  std::vector<Graph> graphs;
+  for (const char* spec : {"kary:2,3", "random:2,3,3", "dwt:4,1"}) {
+    graphs.push_back(BuiltinOrDie(spec));
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      graphs.push_back(PermuteGraph(graphs[graphs.size() - seed], 0x77 + seed));
+    }
+  }
+  ServiceOptions options;
+  options.cache_bytes = 2048;
+  options.cache_shards = 1;
+  ScheduleService service(options);
+  std::mt19937_64 rng(0x7171);
+  for (int i = 0; i < 120; ++i) {
+    const Graph& g = graphs[rng() % graphs.size()];
+    ServiceRequest request;
+    request.graph = &g;
+    request.budget = MinValidBudget(g) + 4;
+    const ServiceResponse response = service.Serve(request);
+    ASSERT_TRUE(response.ok) << "request " << i;
+    const SimResult sim = Simulate(g, request.budget, response.result.schedule);
+    EXPECT_TRUE(sim.valid) << "request " << i;
+    EXPECT_EQ(sim.cost, response.result.cost) << "request " << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 120u);
+  EXPECT_EQ(stats.requests, stats.cache_hits + stats.iso_hits + stats.misses);
+  EXPECT_GT(stats.cache_evictions, 0u);
+  EXPECT_GT(stats.iso_memo_inserts, 0u);
+  EXPECT_LE(stats.cache_bytes, 2048u);
 }
 
 TEST(ScheduleService, RejectsMalformedRequests) {
