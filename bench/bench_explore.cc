@@ -12,6 +12,9 @@
 // tools/bench_diff.py against bench/baselines/BENCH_explore_quick.json:
 // points / frontier_size / frontier_hash / identical are deterministic
 // fields (must agree across runs), time_ms is the perf signal.
+// budgets_certified / budgets_searched split each row's budgets between
+// the Prop 2.4 certificate (priced without search) and the scheduler, so
+// a time_ms move can be traced to the layer that moved.
 //
 //   ./bench_explore --quick               # CI: threads {1,2}
 //   ./bench_explore                       # full: threads {1,2,8}
@@ -40,6 +43,8 @@ struct ExploreRow {
   std::size_t threads = 0;
   std::size_t points = 0;
   std::size_t frontier_size = 0;
+  std::size_t budgets_certified = 0;  // priced without search
+  std::size_t budgets_searched = 0;   // sent to the scheduler
   std::uint64_t frontier_hash = 0;
   bool identical = false;  // hash matches this instance's threads=1 row
   double time_ms = 0;
@@ -104,6 +109,9 @@ int Run(const CliArgs& args) {
       }
       row.points = result.points.size();
       row.frontier_size = result.frontier.size();
+      row.budgets_certified = result.budgets_certified;
+      row.budgets_searched =
+          result.budgets_scanned - result.budgets_certified;
       row.frontier_hash = FrontierHash(result);
       if (threads == thread_counts.front()) t1_hash = row.frontier_hash;
       row.identical = row.frontier_hash == t1_hash;
@@ -116,12 +124,16 @@ int Run(const CliArgs& args) {
     }
   }
 
-  TextTable table({"Instance", "Threads", "Points", "Frontier", "Hash",
-                   "Identical", "Time (ms)", "Points/s"});
+  TextTable table({"Instance", "Threads", "Points", "Frontier",
+                   "Certified", "Searched", "Hash", "Identical",
+                   "Time (ms)", "Points/s"});
   for (const ExploreRow& row : rows) {
     table.AddRow({row.instance, std::to_string(row.threads),
                   std::to_string(row.points),
-                  std::to_string(row.frontier_size), HexHash(row.frontier_hash),
+                  std::to_string(row.frontier_size),
+                  std::to_string(row.budgets_certified),
+                  std::to_string(row.budgets_searched),
+                  HexHash(row.frontier_hash),
                   row.identical ? "yes" : "NO", Fmt(row.time_ms),
                   Fmt(row.points_per_sec)});
   }
@@ -139,6 +151,9 @@ int Run(const CliArgs& args) {
     r.Set("threads", static_cast<std::int64_t>(row.threads));
     r.Set("points", static_cast<std::int64_t>(row.points));
     r.Set("frontier_size", static_cast<std::int64_t>(row.frontier_size));
+    r.Set("budgets_certified",
+          static_cast<std::int64_t>(row.budgets_certified));
+    r.Set("budgets_searched", static_cast<std::int64_t>(row.budgets_searched));
     r.Set("frontier_hash", HexHash(row.frontier_hash));
     r.Set("identical", row.identical);
     r.Set("time_ms", row.time_ms);

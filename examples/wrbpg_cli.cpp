@@ -193,7 +193,10 @@ int PrintHelp() {
       "      and report the Pareto frontier over (area, leakage, energy,\n"
       "      io_cost) as a table plus an ASCII area-vs-energy plot. The\n"
       "      band defaults to [min valid budget, derived min-memory +\n"
-      "      --slack]. --scheduler bb (default) prices each budget with\n"
+      "      --slack]. A budget where the Belady schedule already costs\n"
+      "      the Prop 2.4 lower bound is priced from that schedule as\n"
+      "      proven optimal, without a search; only the other budgets go\n"
+      "      to the scheduler. --scheduler bb (default) prices them with\n"
       "      the branch-and-bound engine capped at --max-states (default\n"
       "      200000): results are bit-identical at any --threads count;\n"
       "      robust runs the fallback chain under a per-point\n"

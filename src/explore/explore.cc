@@ -1,5 +1,6 @@
 #include "explore/explore.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/simulator.h"
 #include "ganalysis/bounds.h"
 #include "hardware/energy_model.h"
 #include "hardware/sram_model.h"
@@ -33,6 +35,43 @@ struct SolveRow {
   Weight bits_stored = 0;
   double elapsed_ms = 0;
 };
+
+// M1 and M2 traffic of a schedule, in bits.
+void CountTraffic(const Graph& graph, const Schedule& schedule,
+                  SolveRow* row) {
+  for (const Move& move : schedule) {
+    if (move.type == MoveType::kLoad) {
+      row->bits_loaded += graph.weight(move.node);
+    } else if (move.type == MoveType::kStore) {
+      row->bits_stored += graph.weight(move.node);
+    }
+  }
+}
+
+// Prices a budget without search when Belady's schedule, checked by the
+// simulator, already costs the Prop 2.4 bound `floor`: no schedule costs
+// less, so the row is proven optimal. Such a schedule loads each source
+// once, stores each sink once and moves nothing else, so every optimal
+// schedule carries the same bits — the row is exactly what a completed
+// bb solve, or a capped one returning this incumbent, would produce.
+bool PriceByCertificate(const Graph& graph, const BeladyScheduler& belady,
+                        Weight budget, Weight floor, SolveRow* row) {
+  const auto start = std::chrono::steady_clock::now();
+  const ScheduleResult result = belady.Run(budget);
+  if (!result.feasible || result.cost != floor) return false;
+  const SimResult sim = Simulate(graph, budget, result.schedule);
+  if (!sim.valid || sim.cost != floor) return false;
+  row->feasible = true;
+  row->cost = floor;
+  row->lower_bound = floor;
+  row->gap = 0;
+  row->termination = Termination::kOptimal;
+  CountTraffic(graph, result.schedule, row);
+  row->elapsed_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  return true;
+}
 
 SolveRow SolveBudget(const Graph& graph, Weight budget,
                      const ExploreOptions& options) {
@@ -65,13 +104,7 @@ SolveRow SolveBudget(const Graph& graph, Weight budget,
   row.lower_bound = result.lower_bound;
   row.gap = result.optimality_gap;
   row.termination = result.termination;
-  for (const Move& move : result.schedule) {
-    if (move.type == MoveType::kLoad) {
-      row.bits_loaded += graph.weight(move.node);
-    } else if (move.type == MoveType::kStore) {
-      row.bits_stored += graph.weight(move.node);
-    }
-  }
+  CountTraffic(graph, result.schedule, &row);
   return row;
 }
 
@@ -210,6 +243,7 @@ std::uint64_t FrontierHash(const ExploreResult& result) {
 
 ExploreResult Explore(const Graph& graph, const ExploreOptions& options) {
   static const obs::Counter budgets_counter("explore.budgets");
+  static const obs::Counter certified_counter("explore.budgets_certified");
   static const obs::Counter points_counter("explore.points");
   static const obs::Counter invalid_counter("explore.invalid_points");
   static const obs::Counter infeasible_counter("explore.infeasible_budgets");
@@ -258,32 +292,46 @@ ExploreResult Explore(const Graph& graph, const ExploreOptions& options) {
   result.budgets_scanned = budgets.size();
   budgets_counter.Add(budgets.size());
 
-  // Solve every budget, embarrassingly parallel, each task writing only
-  // its own row (the §8 determinism contract: fold by index afterwards).
+  // Price every budget the Prop 2.4 certificate settles (microseconds
+  // each), then search only the rest, embarrassingly parallel, each task
+  // writing only its own row (the §8 determinism contract: fold by index
+  // afterwards).
   std::vector<SolveRow> rows(budgets.size());
-  const std::size_t threads = ResolveThreadCount(options.threads);
-  if (threads <= 1 || budgets.size() <= 1) {
+  std::vector<std::size_t> open;
+  {
+    const BeladyScheduler belady(graph);
+    const Weight floor = AlgorithmicLowerBound(graph);
     for (std::size_t i = 0; i < budgets.size(); ++i) {
+      if (options.cancel != nullptr && options.cancel->cancelled()) break;
+      if (!PriceByCertificate(graph, belady, budgets[i], floor, &rows[i])) {
+        open.push_back(i);
+      }
+    }
+  }
+  const std::size_t threads = ResolveThreadCount(options.threads);
+  if (threads <= 1 || open.size() <= 1) {
+    for (const std::size_t i : open) {
       if (options.cancel != nullptr && options.cancel->cancelled()) break;
       rows[i] = SolveBudget(graph, budgets[i], options);
     }
   } else {
-    ThreadPool pool(threads);
-    ParallelFor(pool, 0, static_cast<std::int64_t>(budgets.size()),
-                [&](std::int64_t i) {
+    ThreadPool pool(std::min(threads, open.size()));
+    ParallelFor(pool, 0, static_cast<std::int64_t>(open.size()),
+                [&](std::int64_t k) {
                   if (options.cancel != nullptr &&
                       options.cancel->cancelled()) {
                     return;
                   }
-                  rows[static_cast<std::size_t>(i)] =
-                      SolveBudget(graph, budgets[static_cast<std::size_t>(i)],
-                                  options);
+                  const std::size_t i = open[static_cast<std::size_t>(k)];
+                  rows[i] = SolveBudget(graph, budgets[i], options);
                 });
   }
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     result.error = "cancelled";
     return result;
   }
+  result.budgets_certified = budgets.size() - open.size();
+  certified_counter.Add(result.budgets_certified);
   for (const SolveRow& row : rows) {
     obs::RecordSpan("explore.solve", row.elapsed_ms);
   }

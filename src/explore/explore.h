@@ -24,12 +24,16 @@
 // Each point composes schedule I/O cost -> TrySynthesizeSram ->
 // EstimateScheduleEnergy into (area_λ², leakage_mW, energy_nJ, io_cost)
 // plus the ANYTIME certificate: exact points are intractable in general
-// (the game is PSPACE-hard), so every point is solved by the bb engine (or
-// the robust chain) and carries cost, lower bound, and certified
-// optimality gap — a point is trustworthy when its gap is zero and
-// honestly uncertain otherwise, never silently wrong.
+// (the game is PSPACE-hard), so every point carries cost, lower bound, and
+// certified optimality gap — a point is trustworthy when its gap is zero
+// and honestly uncertain otherwise, never silently wrong. A budget where
+// the simulator-checked Belady schedule already costs the Prop 2.4 bound
+// is priced from it without search (proven optimal, and its traffic is
+// what every optimal schedule moves); only the other budgets are solved
+// by the bb engine (or the robust chain).
 //
-// Determinism contract (DESIGN.md §8): budgets are solved
+// Determinism contract (DESIGN.md §8): the certificate runs inline over
+// every budget, then the budgets it leaves open are solved
 // embarrassingly-parallel on the util ThreadPool, each task writing its
 // own index; points are derived from the solved rows in fixed grid order
 // (budget-major, word-width-minor) and the dominance pass is a pure fold.
@@ -140,6 +144,9 @@ struct ExploreResult {
   Weight budget_step = 0;
 
   std::size_t budgets_scanned = 0;
+  // Budgets priced by the Prop 2.4 certificate without a search; the
+  // other budgets_scanned - budgets_certified went to the scheduler.
+  std::size_t budgets_certified = 0;
   std::size_t infeasible_budgets = 0;  // no valid schedule (Prop 2.3)
   std::size_t invalid_points = 0;      // SRAM synthesis rejections skipped
 

@@ -1,23 +1,33 @@
 // Design-space explorer (src/explore/) contract tests: grid properties,
-// the DESIGN.md §8 cross-thread bit-identity promise, and tamper
-// rejection by the independent frontier verifier.
+// the DESIGN.md §8 cross-thread bit-identity promise, tamper rejection
+// by the independent frontier verifier, and the Prop 2.4 certificate
+// differential against a bb solve of every budget.
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analysis.h"
+#include "core/simulator.h"
 #include "dataflows/builtin_spec.h"
+#include "dataflows/random_dag.h"
 #include "explore/explore.h"
 #include "explore/report.h"
+#include "ganalysis/bounds.h"
+#include "hardware/energy_model.h"
 #include "hardware/sram_model.h"
+#include "robust/robust_scheduler.h"
+#include "schedulers/belady.h"
+#include "schedulers/brute_force.h"
 #include "util/cancel.h"
+#include "util/rng.h"
 
 namespace wrbpg {
 namespace {
 
-// kary:2,3 explores in ~100 ms at the default max_states; dwt would work
+// kary:2,3 explores in ~20 ms at the default max_states; dwt would work
 // too but is ~10x slower — the properties are the same.
 ExploreResult ExploreKary(std::size_t threads = 1) {
   const BuiltinGraph built = BuildBuiltinGraph("kary:2,3");
@@ -245,6 +255,191 @@ TEST(ExploreReport, JsonCarriesSchemaAndFrontier) {
   EXPECT_NE(json.find("\"schema\": \"wrbpg-explore-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"frontier_hash\""), std::string::npos);
   EXPECT_NE(json.find("\"on_frontier\""), std::string::npos);
+}
+
+// One budget's answer from the scheduler alone, as Explore computed it
+// before the Prop 2.4 certificate: a bb solve with exactly the options
+// Explore passes (or the robust chain with a single thread).
+struct ReferenceRow {
+  Weight budget = 0;
+  ScheduleResult result;
+  Weight bits_loaded = 0;
+  Weight bits_stored = 0;
+  bool belady_meets_bound = false;  // where the certificate must fire
+  bool capped = false;              // bb stopped at max_states
+};
+
+std::vector<ReferenceRow> SolveEveryBudget(const Graph& graph,
+                                           const ExploreResult& band,
+                                           const ExploreOptions& options) {
+  const BeladyScheduler belady(graph);
+  const Weight floor = AlgorithmicLowerBound(graph);
+  std::vector<ReferenceRow> rows;
+  for (Weight b = band.budget_lo; b <= band.budget_hi; b += band.budget_step) {
+    ReferenceRow row;
+    row.budget = b;
+    const ScheduleResult heuristic = belady.Run(b);
+    row.belady_meets_bound =
+        heuristic.feasible && heuristic.cost == floor &&
+        Simulate(graph, b, heuristic.schedule).valid;
+    if (options.scheduler == ExploreScheduler::kBranchAndBound) {
+      SearchStats stats;
+      BruteForceOptions bf;
+      bf.engine = SearchEngine::kBranchAndBound;
+      bf.max_states = options.max_states;
+      bf.threads = 1;
+      bf.root_lower_bound = BestCertifiedBound(graph, b);
+      bf.stats = &stats;
+      row.result = BruteForceScheduler(graph).Run(b, bf);
+      row.capped = stats.expanded > options.max_states;
+    } else {
+      RobustOptions ro;
+      ro.threads = 1;
+      row.result = RobustScheduler(graph).Run(b, ro).result;
+    }
+    for (const Move& move : row.result.schedule) {
+      if (move.type == MoveType::kLoad) row.bits_loaded += graph.weight(move.node);
+      if (move.type == MoveType::kStore) row.bits_stored += graph.weight(move.node);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// What a corpus run exercised: budgets the certificate priced, and the
+// ones among them whose reference bb solve stopped at the state cap.
+struct Tally {
+  std::size_t certified = 0;
+  std::size_t capped_certified = 0;
+};
+
+// Explores `graph` at 1 and 4 threads and checks every field of every
+// point against the per-budget reference; bb answers must match exactly.
+void ExpectMatchesReference(const Graph& graph, const std::string& name,
+                            ExploreOptions options, Tally* tally) {
+  const Weight floor = AlgorithmicLowerBound(graph);
+  const bool bb = options.scheduler == ExploreScheduler::kBranchAndBound;
+  std::vector<ReferenceRow> reference;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(name + " threads=" + std::to_string(threads) +
+                 " max_states=" + std::to_string(options.max_states));
+    options.threads = threads;
+    const ExploreResult result = Explore(graph, options);
+    EXPECT_TRUE(result.ok) << result.error;
+    if (!result.ok) return;
+    if (reference.empty()) {
+      reference = SolveEveryBudget(graph, result, options);
+      for (const ReferenceRow& row : reference) {
+        tally->certified += row.belady_meets_bound;
+        tally->capped_certified += row.capped && row.belady_meets_bound;
+      }
+    }
+    ASSERT_EQ(result.budgets_scanned, reference.size());
+
+    std::size_t certified = 0;
+    std::size_t next = 0;
+    for (const ReferenceRow& ref : reference) {
+      certified += ref.belady_meets_bound;
+      if (!ref.result.feasible) continue;  // no points, as before
+      const Weight capacity = PowerOfTwoCapacity(ref.budget);
+      for (const Weight word : options.word_bits) {
+        const SramSynthesisResult synth = TrySynthesizeSram(capacity, word);
+        if (!synth.ok()) continue;
+        ASSERT_LT(next, result.points.size());
+        const ExplorePoint& p = result.points[next++];
+        SCOPED_TRACE("budget=" + std::to_string(ref.budget) +
+                     " word=" + std::to_string(word));
+        EXPECT_EQ(p.budget, ref.budget);
+        EXPECT_EQ(p.capacity_bits, capacity);
+        EXPECT_EQ(p.word_bits, word);
+        EXPECT_EQ(p.area_lambda2, synth.macro.area_lambda2);
+        EXPECT_EQ(p.leakage_mw, synth.macro.leakage_mw);
+        if (ref.belady_meets_bound) {
+          // Priced by the certificate: proven optimal, forced traffic.
+          EXPECT_EQ(p.io_cost, floor);
+          EXPECT_EQ(p.lower_bound, floor);
+          EXPECT_EQ(p.gap, 0);
+          EXPECT_EQ(p.termination, Termination::kOptimal);
+        }
+        if (!bb && ref.belady_meets_bound) {
+          // The robust chain's answer can only have tightened.
+          EXPECT_LE(p.io_cost, ref.result.cost);
+          continue;
+        }
+        const EnergyReport energy = EstimateScheduleEnergy(
+            synth.macro, ref.bits_loaded, ref.bits_stored, options.duty_cycle);
+        EXPECT_EQ(p.io_cost, ref.result.cost);
+        EXPECT_EQ(p.lower_bound, ref.result.lower_bound);
+        EXPECT_EQ(p.gap, ref.result.optimality_gap);
+        EXPECT_EQ(p.termination, ref.result.termination);
+        EXPECT_EQ(p.bits_loaded, ref.bits_loaded);
+        EXPECT_EQ(p.bits_stored, ref.bits_stored);
+        EXPECT_EQ(p.energy_nj, energy.total_energy_nj);
+      }
+    }
+    EXPECT_EQ(next, result.points.size());
+    // The certificate fires exactly where Belady meets Prop 2.4.
+    EXPECT_EQ(result.budgets_certified, certified);
+  }
+}
+
+std::vector<std::pair<std::string, Graph>> DifferentialCorpus() {
+  std::vector<std::pair<std::string, Graph>> corpus;
+  for (const char* spec : {"kary:2,3", "butterfly:4", "random:3,5,13"}) {
+    BuiltinGraph built = BuildBuiltinGraph(spec);
+    EXPECT_TRUE(built.ok) << built.error;
+    corpus.emplace_back(spec, built.graph());
+  }
+  Rng rng(2026);
+  RandomDagOptions dag;
+  dag.num_layers = 3;
+  dag.nodes_per_layer = 3;
+  dag.max_in_degree = 2;
+  for (int instance = 0; instance < 4; ++instance) {
+    corpus.emplace_back("random-dag#" + std::to_string(instance),
+                        BuildRandomDag(rng, dag));
+  }
+  return corpus;
+}
+
+ExploreOptions DifferentialOptions(const std::string& name) {
+  ExploreOptions options;
+  // The random DAGs weigh 1-8 bits per node; a finer step gives them a
+  // band of more than a couple of budgets.
+  if (name.rfind("random-dag", 0) == 0) options.budget_step = 2;
+  return options;
+}
+
+TEST(ExploreCertificate, EveryPointMatchesAPerBudgetBbSolve) {
+  Tally tally;
+  for (const auto& [name, graph] : DifferentialCorpus()) {
+    ExpectMatchesReference(graph, name, DifferentialOptions(name), &tally);
+  }
+  EXPECT_GT(tally.certified, 0u);
+}
+
+TEST(ExploreCertificate, MatchesCappedBbThatReturnsItsIncumbent) {
+  // A tiny state cap sends the reference down the anytime path: it stops
+  // early and hands back the Belady incumbent, certified by its bounds.
+  Tally tally;
+  for (const auto& [name, graph] : DifferentialCorpus()) {
+    ExploreOptions options = DifferentialOptions(name);
+    options.max_states = 8;
+    ExpectMatchesReference(graph, name, options, &tally);
+  }
+  EXPECT_GT(tally.capped_certified, 0u);
+}
+
+TEST(ExploreCertificate, RobustChainPointsThereAreProvenOptimal) {
+  for (const char* spec : {"kary:2,3", "butterfly:4"}) {
+    const BuiltinGraph built = BuildBuiltinGraph(spec);
+    ASSERT_TRUE(built.ok) << built.error;
+    ExploreOptions options;
+    options.scheduler = ExploreScheduler::kRobustChain;
+    Tally tally;
+    ExpectMatchesReference(built.graph(), spec, options, &tally);
+    EXPECT_GT(tally.certified, 0u) << spec;
+  }
 }
 
 }  // namespace
